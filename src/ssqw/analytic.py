@@ -208,7 +208,11 @@ def witten_index(params: WalkParameters, profile: CoinProfile,
         expected = -int(math.copysign(1, p))
     else:
         expected = 0
-    assert index == expected, (index, expected, params, step)
+    if index != expected:
+        raise RuntimeError(
+            f"kernel table index {index} disagrees with the two-branch form "
+            f"{expected} at p={params.p}, a(L)={step.left.a}, a(R)={step.right.a}"
+        )
 
     return IndexReport(
         fredholm=True,
@@ -285,5 +289,6 @@ def sign_flip_identities(params: WalkParameters, profile: CoinProfile) -> SignFl
         raise ProfileError(f"sign-flip identities need a Fredholm point: {base.reason}")
     neg_coin = witten_index(params, profile.negated())
     neg_shift = witten_index(params.negated(), profile)
-    assert neg_coin.fredholm and neg_shift.fredholm
+    if not (neg_coin.fredholm and neg_shift.fredholm):
+        raise RuntimeError("a sign flip of a Fredholm point left the Fredholm region")
     return SignFlipReport(base.index, neg_coin.index, neg_shift.index)

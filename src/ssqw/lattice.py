@@ -89,14 +89,25 @@ def _shift_matrix(window: LatticeWindow) -> np.ndarray:
     return mat
 
 
+def _site_entries(profile: CoinProfile, sites: np.ndarray):
+    """The profile's distinct coin entries and, per site, the index of its entry.
+
+    Entry 0 is the left limit (x <= 0), entry 1 the right limit (x >= 1),
+    then one entry per override, which wins at its site.
+    """
+    table = [profile.left, profile.right, *profile.overrides.values()]
+    index = (sites >= 1).astype(int)
+    for j, x in enumerate(profile.overrides, start=2):
+        index[sites == x] = j
+    return table, index
+
+
 def coin_sequences(window: LatticeWindow, profile: CoinProfile):
     """Arrays (a1, a2, b) of the coin entries over the window's sites."""
-    a1 = np.empty(window.size)
-    a2 = np.empty(window.size)
-    b = np.empty(window.size, dtype=complex)
-    for i, x in enumerate(window.sites):
-        e = profile.entry(int(x))
-        a1[i], a2[i], b[i] = e.a1, e.a2, e.b
+    table, index = _site_entries(profile, window.sites)
+    a1 = np.array([e.a1 for e in table])[index]
+    a2 = np.array([e.a2 for e in table])[index]
+    b = np.array([e.b for e in table], dtype=complex)[index]
     return a1, a2, b
 
 
@@ -182,25 +193,27 @@ def build_q_epsilon(window: LatticeWindow, params: WalkParameters,
     if form not in (RAW, RESCALED):
         raise ValueError(f"form must be '{RAW}' or '{RESCALED}'")
     n = window.size
-    abs_q = params.abs_q
+    sites = window.sites
+    ahead = sites + 1
+    if window.periodic:
+        ahead[-1] = sites[0]
+    table, index = _site_entries(profile, np.concatenate([sites, ahead]))
+    here, nxt = index[:n], index[n:]
+    # weights per distinct entry in scalar arithmetic, gathered per site: every
+    # entry is bit-identical to evaluating the recursion site by site
+    a1 = np.array([e.a1 for e in table])
+    a2 = np.array([e.a2 for e in table])
+    upper = np.array([alpha_coefficient(params, e.b, sign) for e in table])
+    lower = np.array([-alpha_coefficient(params, e.b, -sign).conjugate() for e in table])
 
-    def entry(x: int):
-        return profile.entry(window.wrap(x) if window.periodic else x)
-
+    rows = np.arange(n)
     mat = np.zeros((n, n), dtype=complex)
-    for i, x in enumerate(window.sites):
-        x = int(x)
-        here = entry(x)
-        nxt = entry(x + 1)
-        mat[i, i] = sign * abs_q * (nxt.a2 - here.a1)
-        if i + 1 < n:
-            mat[i, i + 1] = alpha_coefficient(params, nxt.b, sign)
-        elif window.periodic:
-            mat[i, 0] = alpha_coefficient(params, nxt.b, sign)
-        if i - 1 >= 0:
-            mat[i, i - 1] = -alpha_coefficient(params, here.b, -sign).conjugate()
-        elif window.periodic:
-            mat[i, n - 1] = -alpha_coefficient(params, here.b, -sign).conjugate()
+    mat[rows, rows] = sign * params.abs_q * (a2[nxt] - a1[here])
+    mat[rows[:-1], rows[1:]] = upper[nxt[:-1]]
+    mat[rows[1:], rows[:-1]] = lower[here[1:]]
+    if window.periodic:
+        mat[n - 1, 0] = upper[nxt[-1]]
+        mat[0, n - 1] = lower[here[0]]
     if form == RAW:
         mat = mat / (-2j)
     label = "plus" if sign == 1 else "minus"

@@ -260,7 +260,7 @@ def _parse_complex(value, key: str) -> complex:
         isinstance(im_part, (int, float)) and not isinstance(im_part, bool),
         f"key '{key}': imaginary part must be a number",
     )
-    return complex(float(re_part), float(im_part))
+    return complex(_finite(re_part, key), _finite(im_part, key))
 
 
 def _parse_real(value, key: str) -> float:
@@ -268,7 +268,17 @@ def _parse_real(value, key: str) -> float:
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f"key '{key}': expected a real number",
     )
-    return float(value)
+    return _finite(value, key)
+
+
+def _finite(number, key: str) -> float:
+    # NaN would pass every later comparison (nan > atol is False)
+    try:
+        value = float(number)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    _require(math.isfinite(value), f"key '{key}': must be finite")
+    return value
 
 
 def _parse_limit(doc, key: str) -> LimitCoin:

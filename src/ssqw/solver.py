@@ -5,6 +5,13 @@ different route: transfer matrices and their eigensystems, explicit
 square-summable kernel vectors, singular-value kernel counting on open
 windows, dense spectrum sampling on periodic windows, heat-trace index
 estimates, and compact-perturbation robustness trials.
+
+The chiral blocks are tridiagonal, so the kernel census and the heat
+trace work on bands: the census takes singular values from a banded
+eigensolve of the Hermitian dilation [[0, R], [R*, 0]] and null vectors
+from banded inverse iteration, never a dense SVD.  Checks on a result
+(unit-circle and decay conditions, census thresholds) raise exceptions
+rather than assert, so they hold under ``python -O`` too.
 """
 
 from __future__ import annotations
@@ -149,6 +156,17 @@ def _admissible_mode(sign: int, coin_type: CoinType, p: float,
     raise ProfileError(f"no transfer construction for coin type {coin_type}")
 
 
+def _require_moduli(holds: bool, **eigenvalues) -> None:
+    if not holds:
+        raise RuntimeError(f"transfer eigenvalues on the wrong side of the unit circle: "
+                           f"{eigenvalues}")
+
+
+def _require_seed(seed: complex, eigenvalue: complex) -> None:
+    if not abs(seed - eigenvalue) <= 1e-10 * max(1.0, abs(eigenvalue)):
+        raise RuntimeError(f"wall seed {seed} is not the decaying eigenvalue {eigenvalue}")
+
+
 def construct_bound_state(params: WalkParameters, profile: CoinProfile, sign: int,
                           window: LatticeWindow) -> Optional[BoundState]:
     """Closed-form kernel vector of the chosen chiral block, or None.
@@ -180,7 +198,9 @@ def construct_bound_state(params: WalkParameters, profile: CoinProfile, sign: in
     a_l = profile.left.a
     a_r = profile.right.a
     mode = _admissible_mode(sign, coin_type, params.p, a_l, a_r)
-    assert mode is not None
+    if mode is None:
+        raise RuntimeError(f"no square-summable branch for a kernel of dimension 1 "
+                           f"(sign {sign:+d}, type {coin_type})")
     beta0 = _beta(params, profile, 0)
 
     if coin_type is CoinType.III:
@@ -188,7 +208,7 @@ def construct_bound_state(params: WalkParameters, profile: CoinProfile, sign: in
         pair_r = transfer_eigenvalues(params, profile.right, sign)
         z_l = pair_l.z1 if mode == 1 else pair_l.z2
         z_r = pair_r.z1 if mode == 1 else pair_r.z2
-        assert abs(z_l) > 1.0 and abs(z_r) < 1.0, (z_l, z_r)
+        _require_moduli(abs(z_l) > 1.0 and abs(z_r) < 1.0, z_l=z_l, z_r=z_r)
         left_mask = sites <= 0
         amplitudes[left_mask] = _power_samples(z_l, sites[left_mask] + 1)
         amplitudes[~left_mask] = z_l * _power_samples(z_r, sites[~left_mask])
@@ -196,11 +216,11 @@ def construct_bound_state(params: WalkParameters, profile: CoinProfile, sign: in
     elif coin_type is CoinType.II:
         pair_r = transfer_eigenvalues(params, profile.right, sign)
         z_r = pair_r.z1 if mode == 1 else pair_r.z2
-        assert abs(z_r) < 1.0, z_r
+        _require_moduli(abs(z_r) < 1.0, z_r=z_r)
         lead = alpha_coefficient(params, profile.right.b, sign)
         psi1 = -sign * beta0 / lead
         # the seed forced by the wall row is the decaying eigenvector
-        assert abs(psi1 - z_r) <= 1e-10 * max(1.0, abs(z_r)), (psi1, z_r)
+        _require_seed(psi1, z_r)
         right_mask = sites >= 1
         amplitudes[sites == 0] = 1.0
         amplitudes[right_mask] = psi1 * _power_samples(z_r, sites[right_mask] - 1)
@@ -208,16 +228,17 @@ def construct_bound_state(params: WalkParameters, profile: CoinProfile, sign: in
     else:  # II'
         pair_l = transfer_eigenvalues(params, profile.left, sign)
         z_l = pair_l.z1 if mode == 1 else pair_l.z2
-        assert abs(z_l) > 1.0, z_l
+        _require_moduli(abs(z_l) > 1.0, z_l=z_l)
         trail = alpha_coefficient(params, profile.left.b, -sign).conjugate()
         psi_m1 = sign * beta0 / trail
-        assert abs(psi_m1 - 1.0 / z_l) <= 1e-10 * max(1.0, abs(1.0 / z_l)), (psi_m1, z_l)
+        _require_seed(psi_m1, 1.0 / z_l)
         left_mask = sites <= 0
         amplitudes[left_mask] = _power_samples(z_l, sites[left_mask])
         decay_left, decay_right = 1.0 / abs(z_l), 0.0
 
     norm = np.linalg.norm(amplitudes)
-    assert norm > 0
+    if not norm > 0:
+        raise RuntimeError(f"bound state has norm {norm} on the window")
     return BoundState(
         sign=sign,
         coin_type=coin_type,
@@ -263,7 +284,7 @@ def fit_decay_rates(state: BoundState) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class KernelCount:
-    """SVD near-kernel census of one truncated block."""
+    """Near-kernel census of one truncated block, from its singular values."""
 
     dimension: int          # candidates localized away from the window ends
     raw_count: int          # all singular values under the relative threshold
@@ -274,50 +295,135 @@ class KernelCount:
     smallest_singular_values: np.ndarray
 
     def __post_init__(self):
-        assert self.dimension + self.boundary_rejected == self.raw_count
+        if self.dimension + self.boundary_rejected != self.raw_count:
+            raise ValueError(
+                f"kernel count is inconsistent: dimension {self.dimension} + rejected "
+                f"{self.boundary_rejected} != raw count {self.raw_count}"
+            )
+
+
+def _tridiagonal_bands(mat: np.ndarray):
+    return np.diag(mat).copy(), np.diag(mat, 1).copy(), np.diag(mat, -1).copy()
+
+
+INVERSE_ITERATION_STEPS = 4  # even, so the iterate returns to the v-part
+INVERSE_ITERATION_SHIFT = 1e-3  # shift of H - mu I, in units of the threshold
+INVERSE_ITERATION_EXTRA = 4  # block columns beyond the candidates
+
+
+def _dilation_bands(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Upper band storage of H = [[0, R], [R*, 0]] in the order u0, v0, u1, v1, ...
+
+    R is tridiagonal with diagonal d, superdiagonal e and subdiagonal f.
+    In the interleaved order H has bandwidth 3: R[i, i] sits at offset 1,
+    conj(R[i+1, i]) at offset 1 and R[i, i+1] at offset 3.
+    """
+    n = len(d)
+    bands = np.zeros((4, 2 * n), dtype=complex)
+    bands[0, 3::2] = e           # H[u_i, v_{i+1}]
+    bands[2, 1::2] = d           # H[u_i, v_i]
+    bands[2, 2::2] = f.conj()    # H[v_i, u_{i+1}]
+    return bands
+
+
+def _near_null_vectors(mat: np.ndarray, bands: np.ndarray, raw: int,
+                       tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``raw`` right singular vectors of R under ``tau``, and |R v| of each.
+
+    Block inverse iteration on the dilation H - mu I, mu = 1e-3 tau,
+    started from random v-parts.  Each pair of steps multiplies the v-part
+    of a singular pair (sigma, u, v) by about 1 / sigma^2.  The block
+    carries a few columns beyond the candidates, so the candidates
+    converge with their gap to the next singular values but one, not to
+    the first one above the threshold, which may sit close to it.  A
+    Rayleigh-Ritz SVD of R times the v-part basis then picks the candidates
+    and orders them like a dense SVD (descending singular value, as rows).
+    The shift keeps H - mu I regular when R has an exactly zero singular
+    value.
+    """
+    n = mat.shape[0]
+    m = 2 * n
+    full = np.zeros((7, m), dtype=complex)  # general band storage, 3 + 3 bands
+    full[:4] = bands
+    for k in range(1, 4):
+        full[3 + k, : m - k] = bands[3 - k, k:].conj()
+    full[3] -= INVERSE_ITERATION_SHIFT * tau
+    width = min(raw + INVERSE_ITERATION_EXTRA, n)
+    rng = np.random.default_rng(0)
+    block = np.zeros((m, width), dtype=complex)
+    block[1::2] = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    for _ in range(INVERSE_ITERATION_STEPS):
+        block, _ = np.linalg.qr(scipy.linalg.solve_banded((3, 3), full, block))
+    basis, _ = np.linalg.qr(block[1::2])
+    _, ritz, wh = np.linalg.svd(mat @ basis, full_matrices=False)
+    return wh[width - raw:].conj() @ basis.T, ritz[width - raw:]
 
 
 def kernel_count_svd(operator: TruncatedOperator, rel_tol: float = SVD_REL_TOL,
                      min_gap: float = MIN_GAP_RATIO,
                      localize: bool = True) -> KernelCount:
-    """Count near-null singular values of a truncated block.
+    """Count near-null singular values of a tridiagonal truncated block.
 
     The threshold is ``rel_tol`` times the largest singular value.  A
     count is conclusive only when the candidates are separated from the
     rest by a factor ``min_gap``.  With ``localize`` (default), candidates
     whose squared amplitude is not at least 90% inside the middle half of
     the window are attributed to the artificial ends and rejected; they
-    still participate in the raw count and the gap.
+    still participate in the raw count and the gap.  The filter runs on
+    the basis of the candidate space that diagonalizes the bulk mass, so
+    several candidates at rounding level count the same whichever basis
+    of their span the solver returns.
+
+    The singular values are the moduli of the eigenvalues of the Hermitian
+    dilation [[0, R], [R*, 0]], which come in +- pairs; interleaved, the
+    dilation has bandwidth 3, so one banded eigensolve (no vectors) costs
+    O(n^2) against the O(n^3) of a dense SVD.  Null vectors are computed
+    only when there are candidates, by banded block inverse iteration on
+    the dilation (``_near_null_vectors``), in the order of a dense SVD.
+    Raises ValueError on a matrix with entries off the three diagonals (a
+    periodic ring's corners), and RuntimeError if a candidate v misses
+    |R v| <= threshold.
     """
     mat = np.asarray(operator.matrix)
     n = mat.shape[0]
-    _, s, vh = np.linalg.svd(mat)
+    d, e, f = _tridiagonal_bands(mat)
+    if np.count_nonzero(mat) != np.count_nonzero(d) + np.count_nonzero(e) + np.count_nonzero(f):
+        raise ValueError(f"kernel census needs a tridiagonal block; {operator.role} is not")
+    bands = _dilation_bands(d, e, f)
+    w = scipy.linalg.eig_banded(bands, eigvals_only=True)
+    s = np.sort(np.abs(w))[1::2][::-1]  # one of each +- pair, descending
     smax = float(s[0])
     if smax == 0.0:
-        return KernelCount(n, n, 0, 0.0, False, vh.conj(), s[::-1][: min(8, n)])
+        return KernelCount(n, n, 0, 0.0, False, np.eye(n, dtype=complex), s[::-1][: min(8, n)])
     tau = rel_tol * smax
     raw = int(np.count_nonzero(s < tau))
     if raw == 0:
         gap_ratio = float(s[-1] / tau)
-        candidates = np.zeros((0, n), dtype=complex)
-    elif raw == n:
+    elif raw == n or s[n - raw] == 0.0:
         gap_ratio = math.inf
-        candidates = vh.conj()
     else:
         gap_ratio = float(s[n - raw - 1] / s[n - raw])
-        candidates = vh[n - raw:].conj()
 
+    bulk = np.zeros((0, n), dtype=complex)
+    if raw:
+        bulk, residuals = _near_null_vectors(mat, bands, raw, tau)
+        if float(residuals[0]) > tau:
+            raise RuntimeError(
+                f"kernel census: a candidate has |R v| = {residuals[0]:.3e} over the "
+                f"threshold {tau:.3e}"
+            )
     if localize and raw:
         ncomp = n // operator.window.size
         site_mask = np.abs(operator.window.sites) <= operator.window.half_width // 2
         mask = np.tile(site_mask, ncomp)
-        bulk_rows = [
-            v for v in candidates
-            if float(np.sum(np.abs(v[mask]) ** 2)) >= LOCALIZED_MASS * float(np.sum(np.abs(v) ** 2))
-        ]
-        bulk = np.array(bulk_rows) if bulk_rows else np.zeros((0, n), dtype=complex)
-    else:
-        bulk = candidates
+        # Filter the basis of the candidate space that diagonalizes the bulk
+        # mass: a near-null space with several singular values at rounding
+        # level has no preferred basis, and a mix of a wall state with an
+        # edge state would fail the filter for both.
+        inside = bulk[:, mask]
+        mass, mix = np.linalg.eigh(inside.conj() @ inside.T)
+        keep = np.flatnonzero(mass >= LOCALIZED_MASS)[::-1]
+        bulk = mix[:, keep].T @ bulk
     conclusive = raw < n and gap_ratio >= min_gap
     return KernelCount(
         dimension=bulk.shape[0],
@@ -350,12 +456,10 @@ def sample_spectrum(window: LatticeWindow, params: WalkParameters,
     from .lattice import build_evolution
 
     eigs = np.linalg.eigvals(build_evolution(window, params, profile).matrix)
-    assert float(np.max(np.abs(np.abs(eigs) - 1.0))) < 1e-10
+    defect = float(np.max(np.abs(np.abs(eigs) - 1.0)))
+    if not defect < 1e-10:
+        raise RuntimeError(f"walk eigenvalues leave the unit circle by {defect:.3e}")
     return eigs[np.argsort(np.angle(eigs))]
-
-
-def _tridiagonal_bands(mat: np.ndarray):
-    return np.diag(mat).copy(), np.diag(mat, 1).copy(), np.diag(mat, -1).copy()
 
 
 def h_epsilon_band_eigensystem(window: LatticeWindow, params: WalkParameters,
@@ -570,7 +674,7 @@ def perturbation_invariance_test(params: WalkParameters, profile: CoinProfile,
 
     Each trial overrides the coin at up to ``max_sites`` bulk sites with
     fresh valid entries (occasionally diagonal ones, so b is pushed to 0
-    somewhere) and recounts both chiral kernels by SVD.  All conclusive
+    somewhere) and recounts both chiral kernels by the census.  All conclusive
     trials must reproduce the unperturbed index.
     """
     report = witten_index(params, profile)

@@ -2,9 +2,10 @@
 
 Each test prints a single PASS/FAIL line with the measured quantities
 before asserting, so a full run with ``pytest tests/test_acceptance.py
--v -s`` reads as a checklist.  The shared kernel census (SVDs of both
-chiral blocks at half-width 400 for every grid point) dominates the
-runtime at several minutes; everything else is seconds.
+-v -s`` reads as a checklist.  The shared kernel census (banded
+singular-value censuses of both chiral blocks at half-width 400 for
+every grid point), the spectrum test and the heat-trace test take
+about a minute or two each; everything else is seconds.
 """
 
 import math
@@ -63,7 +64,12 @@ def _params(p: float) -> WalkParameters:
 
 @pytest.fixture(scope="module")
 def grid_census():
-    """SVD kernel censuses for the whole classification grid, computed once."""
+    """Kernel censuses for the whole classification grid, computed once.
+
+    Each block's singular values come from a banded eigensolve of its
+    Hermitian dilation; null vectors, which the bound-state test compares
+    with the constructed states, come from banded inverse iteration.
+    """
     census = []
     for params, profile in classification_grid():
         plus, minus = kernel_counts(params, profile, CENSUS_WINDOW)

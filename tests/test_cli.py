@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -284,6 +285,46 @@ class TestVerifyPlumbing:
         assert "PASS stub-pass" in out and "FAIL stub-fail" in out
 
 
+# every number a profile document can hold, each in a document where it is read
+NON_FINITE_BASE = dict(
+    E1_DOCUMENT,
+    right={"a1": 1.0, "a2": -1.0, "b": [0.0, 0.0]},
+    overrides=[{"x": 2, "a1": 0.28, "a2": -0.28, "b": [0.96, 0.0]}],
+)
+
+
+def _set(path, index=None):
+    def place(document, value):
+        target = document
+        for step in path[:-1]:
+            target = target[step]
+        if index is None:
+            target[path[-1]] = value
+        else:
+            target[path[-1]][index] = value
+    return place
+
+
+def _set_q(document, value):
+    del document["theta"]
+    document["q"] = [value, 0.0]
+
+
+NON_FINITE_PLACES = [
+    ("p", _set(["p"])),
+    ("theta", _set(["theta"])),
+    ("q", _set_q),
+    ("left.a", _set(["left", "a"])),
+    ("left.b", _set(["left", "b"], 1)),
+    ("right.a1", _set(["right", "a1"])),
+    ("right.a2", _set(["right", "a2"])),
+    ("right.b", _set(["right", "b"], 0)),
+    ("overrides[0].a1", _set(["overrides", 0, "a1"])),
+    ("overrides[0].a2", _set(["overrides", 0, "a2"])),
+    ("overrides[0].b", _set(["overrides", 0, "b"], 1)),
+]
+
+
 class TestInputErrors:
     def test_missing_profile_file(self, capsys):
         code, _, err = run_cli(capsys, "index", "--profile", "/does/not/exist.json")
@@ -301,6 +342,16 @@ class TestInputErrors:
         path = write_profile(tmp_path, document)
         code, _, err = run_cli(capsys, "index", "--profile", str(path))
         assert code == 2 and "key 'left.b'" in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key, place", NON_FINITE_PLACES, ids=[k for k, _ in NON_FINITE_PLACES])
+    def test_non_finite_number_names_the_key(self, capsys, tmp_path, key, place, value):
+        document = json.loads(json.dumps(NON_FINITE_BASE))
+        place(document, value)
+        path = write_profile(tmp_path, document)
+        code, out, err = run_cli(capsys, "index", "--profile", path)
+        assert code == 2 and out == ""
+        assert f"key '{key}': must be finite" in err
 
     def test_missing_profile_flag(self, capsys):
         code, _, err = run_cli(capsys, "index")

@@ -29,7 +29,8 @@ from ssqw.model import (
     ProfileError,
     validate_parameters,
 )
-from ssqw.solver import random_parameters, random_step_profile
+from ssqw.analytic import alpha_coefficient
+from ssqw.solver import random_coin_entry, random_parameters, random_step_profile
 
 DIAGONAL_PROFILE = CoinProfile(LimitCoin(1.0, -1.0, 0j), LimitCoin(-1.0, 1.0, 0j))
 
@@ -164,6 +165,66 @@ class TestQEpsilonBlock:
             build_q_epsilon(window, e1_params, e1_profile, 0)
         with pytest.raises(ValueError, match="form"):
             build_q_epsilon(window, e1_params, e1_profile, +1, form="scaled")
+
+
+def _loop_coin_sequences(window, profile):
+    """Site-by-site reference for the vectorized coin_sequences."""
+    a1 = np.empty(window.size)
+    a2 = np.empty(window.size)
+    b = np.empty(window.size, dtype=complex)
+    for i, x in enumerate(window.sites):
+        e = profile.entry(int(x))
+        a1[i], a2[i], b[i] = e.a1, e.a2, e.b
+    return a1, a2, b
+
+
+def _loop_q_epsilon(window, params, profile, sign, form):
+    """Site-by-site reference for the vectorized build_q_epsilon."""
+    n = window.size
+
+    def entry(x):
+        return profile.entry(window.wrap(x) if window.periodic else x)
+
+    mat = np.zeros((n, n), dtype=complex)
+    for i, x in enumerate(window.sites):
+        x = int(x)
+        here = entry(x)
+        nxt = entry(x + 1)
+        mat[i, i] = sign * params.abs_q * (nxt.a2 - here.a1)
+        if i + 1 < n:
+            mat[i, i + 1] = alpha_coefficient(params, nxt.b, sign)
+        elif window.periodic:
+            mat[i, 0] = alpha_coefficient(params, nxt.b, sign)
+        if i - 1 >= 0:
+            mat[i, i - 1] = -alpha_coefficient(params, here.b, -sign).conjugate()
+        elif window.periodic:
+            mat[i, n - 1] = -alpha_coefficient(params, here.b, -sign).conjugate()
+    return mat / (-2j) if form == RAW else mat
+
+
+class TestVectorizedAssembly:
+    @pytest.mark.parametrize("boundary", [OPEN, PERIODIC])
+    def test_matches_the_site_loop_exactly(self, boundary):
+        rng = np.random.default_rng(31)
+        for draw in range(40):
+            half_width = int(rng.integers(1, 13))
+            window = LatticeWindow(half_width, boundary)
+            params = random_parameters(rng)
+            base = random_step_profile(rng)
+            # overrides inside, at the edges of and just beyond the window
+            reach = half_width + 2
+            sites = rng.choice(np.arange(-reach, reach + 1), size=int(rng.integers(0, 5)),
+                               replace=False)
+            profile = CoinProfile(base.left, base.right,
+                                  {int(x): random_coin_entry(rng) for x in sites})
+            for got, want in zip(coin_sequences(window, profile),
+                                 _loop_coin_sequences(window, profile)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            for sign in (+1, -1):
+                for form in (RAW, RESCALED):
+                    got = build_q_epsilon(window, params, profile, sign, form).matrix
+                    want = _loop_q_epsilon(window, params, profile, sign, form)
+                    assert np.array_equal(got, want), (draw, sign, form)
 
 
 class TestVerifyAlgebra:

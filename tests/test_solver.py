@@ -2,12 +2,18 @@
 censuses, spectrum sampling, heat traces, and perturbation trials."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+import ssqw
 
 from ssqw.analytic import eigenvalue_moduli, transfer_eigenvalues
-from ssqw.lattice import OPEN, LatticeWindow, build_q_epsilon
+from ssqw.lattice import OPEN, LatticeWindow, TruncatedOperator, build_q_epsilon
 from ssqw.model import (
     CoinProfile,
     CoinType,
@@ -17,6 +23,9 @@ from ssqw.model import (
     validate_parameters,
 )
 from ssqw.solver import (
+    LOCALIZED_MASS,
+    MIN_GAP_RATIO,
+    SVD_REL_TOL,
     classification_grid,
     construct_bound_state,
     bound_state_residual,
@@ -25,6 +34,7 @@ from ssqw.solver import (
     kernel_count_svd,
     kernel_counts,
     perturbation_invariance_test,
+    random_coin_entry,
     random_limit_coin,
     random_parameters,
     random_step_profile,
@@ -36,6 +46,7 @@ from ssqw.solver import (
 )
 
 THIRD = 1.0 / math.sqrt(3.0)
+SRC_PATH = os.path.dirname(os.path.dirname(ssqw.__file__))
 
 
 def _params(p: float):
@@ -218,6 +229,124 @@ class TestKernelCounts:
     def test_rejects_periodic_window(self, e1_params, e1_profile):
         with pytest.raises(ProfileError, match="cancelling"):
             kernel_counts(e1_params, e1_profile, LatticeWindow(50))
+
+
+def _dense_census(operator, rel_tol=SVD_REL_TOL, min_gap=MIN_GAP_RATIO):
+    """Reference census by a dense SVD: (fields, singular values, bulk vectors)."""
+    mat = operator.matrix
+    n = mat.shape[0]
+    _, s, vh = np.linalg.svd(mat)
+    tau = rel_tol * s[0]
+    raw = int(np.count_nonzero(s < tau))
+    gap = s[-1] / tau if raw == 0 else s[n - raw - 1] / s[n - raw]
+    mask = np.abs(operator.window.sites) <= operator.window.half_width // 2
+    bulk = [v for v in vh[n - raw:].conj()
+            if np.sum(np.abs(v[mask]) ** 2) >= LOCALIZED_MASS * np.sum(np.abs(v) ** 2)]
+    fields = (len(bulk), raw, raw - len(bulk), bool(gap >= min_gap))
+    return fields, s, bulk
+
+
+class TestBandedCensusAgreesWithDenseSvd:
+    def test_whole_grid_at_small_window(self):
+        window = LatticeWindow(60, OPEN)
+        vector_checks = 0
+        for params, profile in classification_grid():
+            for sign in (+1, -1):
+                operator = build_q_epsilon(window, params, profile, sign)
+                (dimension, raw, rejected, conclusive), s, bulk = _dense_census(operator)
+                count = kernel_count_svd(operator)
+                assert (count.dimension, count.raw_count, count.boundary_rejected,
+                        count.conclusive) == (dimension, raw, rejected, conclusive)
+                smallest = s[::-1][:8]
+                assert np.max(np.abs(count.smallest_singular_values - smallest)) <= 1e-12 * s[0]
+                if dimension == 1:
+                    overlap = abs(np.vdot(count.null_vectors[0], bulk[0]))
+                    assert overlap > 1.0 - 1e-9
+                    vector_checks += 1
+        assert vector_checks > 0
+
+    def test_perturbed_profiles_with_several_candidates(self):
+        # diagonal overrides cut the chain, so near-null spaces of several
+        # dimensions at rounding level mix wall states with edge states
+        rng = np.random.default_rng(41)
+        window = LatticeWindow(40, OPEN)
+        several = 0
+        for _ in range(40):
+            params = random_parameters(rng)
+            base = random_step_profile(rng)
+            sites = rng.choice(np.arange(-10, 11), size=int(rng.integers(1, 11)), replace=False)
+            profile = CoinProfile(base.left, base.right,
+                                  {int(x): random_coin_entry(rng) for x in sites})
+            for sign in (+1, -1):
+                operator = build_q_epsilon(window, params, profile, sign)
+                fields, _, _ = _dense_census(operator)
+                count = kernel_count_svd(operator)
+                assert (count.dimension, count.raw_count, count.boundary_rejected,
+                        count.conclusive) == fields
+                several += count.raw_count > 1
+        assert several >= 10
+
+    def test_several_candidates_come_in_dense_order(self):
+        # three distinct near-null singular values, well under the threshold
+        diagonal = np.ones(31, dtype=complex)
+        diagonal[[5, 10, 20]] = (1e-10, 3e-11, 1e-12)
+        mat = np.diag(diagonal) + np.diag(np.full(30, 1e-13), 1)
+        operator = TruncatedOperator("test", LatticeWindow(15, OPEN), mat)
+        count = kernel_count_svd(operator, localize=False)
+        _, _, vh = np.linalg.svd(mat)
+        assert count.raw_count == 3
+        for got, want in zip(count.null_vectors, vh[-3:].conj()):
+            assert abs(np.vdot(got, want)) > 1.0 - 1e-9
+
+
+class TestResultGuards:
+    def test_inconsistent_kernel_count_raises_under_optimization(self):
+        code = (
+            "import numpy as np\n"
+            "from ssqw.solver import KernelCount\n"
+            "try:\n"
+            "    KernelCount(1, 0, 0, 1.0, True, np.zeros((1, 3)), np.zeros(3))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                                text=True, env=dict(os.environ, PYTHONPATH=SRC_PATH))
+        assert result.returncode == 0
+        assert "inconsistent" in result.stdout
+
+    def test_census_rejects_candidates_over_the_threshold(self, e1_params, e1_profile,
+                                                          monkeypatch):
+        operator = build_q_epsilon(LatticeWindow(40, OPEN), e1_params, e1_profile, +1)
+        # a solve that returns its right-hand side leaves the random start vectors
+        monkeypatch.setattr(scipy.linalg, "solve_banded", lambda lu, ab, rhs: rhs)
+        with pytest.raises(RuntimeError, match="over the threshold"):
+            kernel_count_svd(operator)
+
+    def test_census_resolves_a_candidate_next_to_the_threshold(self):
+        # the first singular value above the threshold is only 0.2% above it
+        diagonal = np.ones(31, dtype=complex)
+        diagonal[[5, 10]] = (0.999e-8, 1.001e-8)
+        operator = TruncatedOperator("test", LatticeWindow(15, OPEN), np.diag(diagonal))
+        count = kernel_count_svd(operator, localize=False)
+        assert count.raw_count == 1 and not count.conclusive
+        assert abs(count.null_vectors[0, 5]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_census_rejects_a_ring_block(self, e1_params, e1_profile):
+        operator = build_q_epsilon(LatticeWindow(20), e1_params, e1_profile, +1)
+        with pytest.raises(ValueError, match="tridiagonal"):
+            kernel_count_svd(operator)
+
+    def test_non_unitary_evolution_fails_the_spectrum_guard(self, e1_params, e1_profile,
+                                                            monkeypatch):
+        honest = ssqw.lattice.build_evolution
+
+        def inflated(*args):
+            op = honest(*args)
+            return TruncatedOperator(op.role, op.window, 1.001 * op.matrix)
+
+        monkeypatch.setattr(ssqw.lattice, "build_evolution", inflated)
+        with pytest.raises(RuntimeError, match="unit circle"):
+            sample_spectrum(LatticeWindow(10), e1_params, e1_profile)
 
 
 class TestSpectrum:
