@@ -6,7 +6,9 @@ over p), ``verify`` (the property suite), ``spectrum``, ``trace`` and
 verification check failed, 2 invalid input.  Output goes to stdout or
 ``--out``; CSV uses a header row, '.' decimals and re/im column pairs
 for complex data.  All randomized behavior is fixed by ``--seed``; the
-``SSQW_THREADS`` environment variable caps sweep workers.
+``SSQW_THREADS`` environment variable caps sweep workers.  A ``--window``
+whose largest dense matrix would not fit in physical memory is an input
+error, found before anything is allocated.
 """
 
 from __future__ import annotations
@@ -93,6 +95,31 @@ def _threads_from_env() -> int:
     if value < 1:
         raise ProfileError(f"SSQW_THREADS must be >= 1, got {value}")
     return value
+
+
+# side of the largest dense complex matrix a command allocates, in units of
+# the window size 2N+1: the chiral blocks and their eigenvectors (spectrum,
+# trace, bound-state) or the two-component walk operators (verify's algebra)
+DENSE_SIDE_PER_SITE = {"spectrum": 1, "trace": 1, "bound-state": 1, "verify": 2}
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _require_window_fits(config: RunConfig) -> None:
+    per_site = DENSE_SIDE_PER_SITE.get(config.command)
+    if per_site is None:
+        return  # the command reads no window
+    side = per_site * (2 * config.window + 1)
+    needed = 16 * side * side
+    available = _physical_memory()
+    if needed > available:
+        raise ProfileError(
+            f"--window {config.window}: {config.command} needs a dense {side}x{side} "
+            f"complex matrix ({needed / 2**30:.3g} GiB), more than the "
+            f"{available / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _parse_p_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -714,6 +741,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
         if args.window < 1:
             raise ProfileError("--window must be >= 1")
+        _require_window_fits(config)
         return COMMANDS[config.command](config)
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)

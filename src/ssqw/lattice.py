@@ -220,6 +220,39 @@ def build_q_epsilon(window: LatticeWindow, params: WalkParameters,
     return TruncatedOperator(f"q_epsilon_{label}_{form}", window, mat)
 
 
+def build_r_epsilon(window: LatticeWindow, params: WalkParameters,
+                    profile: CoinProfile, sign: int) -> TruncatedOperator:
+    """One diagonal block of the real part (U + U*) / 2 in the chiral basis.
+
+    The chiral basis diagonalizes gamma to diag(1, -1), so the real part
+    (gamma C + C gamma) / 2 is block diagonal, diag(R_plus, R_minus), with
+    R_plus = eps_plus* C eps_plus and R_minus = -eps_minus* C eps_minus.
+    Both are Hermitian and cyclic tridiagonal: the diagonal of R_plus is
+    ((1+p) a1(x) + (1-p) a2(x+1)) / 2, that of R_minus is
+    -((1-p) a1(x) + (1+p) a2(x+1)) / 2, and both carry
+    q b(x+1) / 2 = |q| e^{i theta} b(x+1) / 2 at (x, x+1) and its conjugate
+    at (x+1, x), with x+1 evaluated cyclically.  Periodic windows only,
+    like the basis rotation itself.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if not window.periodic:
+        raise ProfileError("the chiral rotation is built on periodic windows only")
+    n = window.size
+    a1, a2, b = coin_sequences(window, profile)
+    p = sign * params.p
+    diagonal = sign * ((1.0 + p) * a1 + (1.0 - p) * np.roll(a2, -1)) / 2.0
+    hop = params.q * np.roll(b, -1) / 2.0
+    rows = np.arange(n)
+    ahead = np.roll(rows, -1)
+    mat = np.zeros((n, n), dtype=complex)
+    mat[rows, rows] = diagonal
+    mat[rows, ahead] = hop
+    mat[ahead, rows] = hop.conj()
+    label = "plus" if sign == 1 else "minus"
+    return TruncatedOperator(f"r_epsilon_{label}", window, mat)
+
+
 def build_h_epsilon(window: LatticeWindow, params: WalkParameters,
                     profile: CoinProfile, sign: int) -> TruncatedOperator:
     """Chiral block Hamiltonian R* R from the rescaled block R.

@@ -24,6 +24,14 @@ class ProfileError(ValueError):
     """Raised when a profile document or parameter set fails validation."""
 
 
+def _squared_modulus(z: complex) -> float:
+    # float ** raises OverflowError for finite inputs such as 1e200; read as inf
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _principal_arg(z: complex) -> float:
     # branch (-pi, pi]
     theta = math.atan2(z.imag, z.real)
@@ -62,7 +70,7 @@ def validate_parameters(p: float, q: complex, atol: float = VALIDATION_ATOL) -> 
     q = complex(q)
     if q == 0:
         raise ProfileError("shift parameter q must be nonzero")
-    residual = abs(p * p + abs(q) ** 2 - 1.0)
+    residual = abs(p * p + _squared_modulus(q) - 1.0)
     if residual > atol:
         raise ProfileError(
             f"shift parameters violate p^2 + |q|^2 = 1 (residual {residual:.3e})"
@@ -86,7 +94,7 @@ class CoinEntry:
         object.__setattr__(self, "a2", float(self.a2))
         object.__setattr__(self, "b", complex(self.b))
         for name, a in (("a1", self.a1), ("a2", self.a2)):
-            residual = abs(a * a + abs(self.b) ** 2 - 1.0)
+            residual = abs(a * a + _squared_modulus(self.b) - 1.0)
             if residual > VALIDATION_ATOL:
                 raise ProfileError(
                     f"coin entry violates {name}^2 + |b|^2 = 1 (residual {residual:.3e})"

@@ -3,13 +3,16 @@
 Each routine here recomputes something the analytic layer predicts, by a
 different route: transfer matrices and their eigensystems, explicit
 square-summable kernel vectors, singular-value kernel counting on open
-windows, dense spectrum sampling on periodic windows, heat-trace index
-estimates, and compact-perturbation robustness trials.
+windows, spectrum sampling on periodic windows from the chiral blocks,
+heat-trace index estimates, and compact-perturbation robustness trials.
 
 The chiral blocks are tridiagonal, so the kernel census and the heat
 trace work on bands: the census takes singular values from a banded
 eigensolve of the Hermitian dilation [[0, R], [R*, 0]] and null vectors
-from banded inverse iteration, never a dense SVD.  Checks on a result
+from banded inverse iteration, never a dense SVD.  The spectrum does not
+build the walk: two half-size Hermitian eigensolves of the blocks of
+Re U in the chiral basis give Re z, and the chiral blocks of the
+supercharge applied to their eigenvectors give Im z.  Checks on a result
 (unit-circle and decay conditions, census thresholds) raise exceptions
 rather than assert, so they hold under ``python -O`` too.
 """
@@ -40,7 +43,13 @@ from .analytic import (
     transfer_eigenvalues,
     witten_index,
 )
-from .lattice import OPEN, LatticeWindow, TruncatedOperator, build_q_epsilon
+from .lattice import (
+    OPEN,
+    LatticeWindow,
+    TruncatedOperator,
+    build_q_epsilon,
+    build_r_epsilon,
+)
 
 SVD_REL_TOL = 1e-8
 MIN_GAP_RATIO = 100.0
@@ -448,14 +457,55 @@ def kernel_counts(params: WalkParameters, profile: CoinProfile,
     )
 
 
+CLUSTER_WIDTH = 1e-6  # eigenvalues of R closer than this share a Rayleigh-Ritz step
+
+
+def _block_imaginary_parts(lam: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """|Im z| of the walk eigenvalues that continue the eigenvalues ``lam`` of R.
+
+    ``images`` holds Q v for the eigenvectors v of R, column by column.
+    An isolated eigenvalue takes |Q v|.  Within a cluster of eigenvalues
+    closer than CLUSTER_WIDTH the solver's basis is arbitrary, and column
+    norms mix the cluster's modes; the singular values of Q V_cluster are
+    the Rayleigh-Ritz values of |Q| on its span instead.  Because
+    R^2 + Q* Q = 1, the largest goes with the smallest |lambda|.
+    """
+    sigma = np.linalg.norm(images, axis=0)
+    edges = np.flatnonzero(np.diff(lam) > CLUSTER_WIDTH) + 1
+    for members in np.split(np.arange(len(lam)), edges):
+        if len(members) > 1:
+            ritz = np.linalg.svd(images[:, members], compute_uv=False)
+            sigma[members[np.argsort(np.abs(lam[members]), kind="stable")]] = ritz
+    return sigma
+
+
 def sample_spectrum(window: LatticeWindow, params: WalkParameters,
                     profile: CoinProfile) -> np.ndarray:
-    """Eigenvalues of the truncated walk, sorted by angle; periodic only."""
+    """Eigenvalues of the truncated walk, sorted by angle; periodic only.
+
+    The walk is never built.  In the chiral basis U = diag(R_plus,
+    R_minus) + i [[0, Q_minus], [Q_plus, 0]], with R_s the Hermitian
+    cyclic tridiagonal blocks of the real part (``build_r_epsilon``) and
+    Q_s the raw chiral blocks of the supercharge.  Only |Q_s v| enters,
+    and the rescaled block of ``build_q_epsilon`` is -2i Q_s, so half of
+    it serves.  U is normal, so Q_plus maps an eigenvector v of R_plus
+    with eigenvalue lambda to one of R_minus with the same eigenvalue,
+    and the pair spans the eigenvalues lambda +- i |Q_plus v|.  Two
+    half-size Hermitian eigensolves with vectors therefore give the whole
+    spectrum: lambda + i |Q_plus v| from R_plus and lambda - i |Q_minus v|
+    from R_minus, +-1 included (``_block_imaginary_parts`` resolves
+    clusters).  Since lambda and |Q v| come from independent solves, the
+    unit-circle guard checks R_s^2 + Q_s* Q_s = 1 mode by mode; it raises
+    RuntimeError past 1e-10.
+    """
     if not window.periodic:
         raise ProfileError("spectrum sampling needs a periodic window (exact unitarity)")
-    from .lattice import build_evolution
-
-    eigs = np.linalg.eigvals(build_evolution(window, params, profile).matrix)
+    parts = []
+    for sign in (+1, -1):
+        lam, vectors = np.linalg.eigh(build_r_epsilon(window, params, profile, sign).matrix)
+        chiral = build_q_epsilon(window, params, profile, sign).matrix / 2.0
+        parts.append(lam + sign * 1j * _block_imaginary_parts(lam, chiral @ vectors))
+    eigs = np.concatenate(parts)
     defect = float(np.max(np.abs(np.abs(eigs) - 1.0)))
     if not defect < 1e-10:
         raise RuntimeError(f"walk eigenvalues leave the unit circle by {defect:.3e}")

@@ -1,4 +1,5 @@
-"""Hypothesis draw strategies for valid parameters, coins, and profiles."""
+"""Hypothesis draw strategies for valid parameters, coins, and profiles,
+and for arbitrary documents shaped roughly like a profile."""
 
 import math
 
@@ -68,3 +69,40 @@ def profiles_with_overrides(draw) -> CoinProfile:
     sites = draw(st.lists(st.integers(-10, 10), unique=True, max_size=4))
     overrides = {x: draw(coin_entries()) for x in sites}
     return CoinProfile(base.left, base.right, overrides)
+
+
+# numbers of any size: NaN, +-inf, floats whose square overflows, integers
+# beyond the float range, and the values a valid profile uses
+_numbers = st.one_of(
+    st.floats(),
+    st.floats(-1.0, 1.0),
+    st.integers(),
+    st.integers(min_value=2**1024, max_value=2**1100),
+    st.sampled_from([0.0, 0.5, 0.6, 0.8, 1.0, -1.0, 1e200, -1e200, 1.7e308]),
+)
+_anything = st.recursive(
+    st.none() | st.booleans() | _numbers | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=8,
+)
+_pairs = st.lists(_numbers, min_size=2, max_size=2) | _anything
+_coins = st.one_of(
+    st.fixed_dictionaries({"a": _numbers, "b": _pairs}),
+    st.fixed_dictionaries({"a1": _numbers, "a2": _numbers, "b": _pairs}),
+    _anything,
+)
+_sites = st.integers() | st.integers(min_value=2**63) | _anything
+_overrides = st.fixed_dictionaries({"x": _sites, "a1": _numbers, "a2": _numbers, "b": _pairs})
+
+fuzzed_documents = st.one_of(
+    st.fixed_dictionaries(
+        {"p": _numbers, "left": _coins, "right": _coins},
+        optional={
+            "q": _pairs,
+            "theta": _numbers | _anything,
+            "overrides": st.lists(_overrides | _anything, max_size=3) | _anything,
+        },
+    ),
+    _anything,
+)

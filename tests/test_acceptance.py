@@ -4,8 +4,12 @@ Each test prints a single PASS/FAIL line with the measured quantities
 before asserting, so a full run with ``pytest tests/test_acceptance.py
 -v -s`` reads as a checklist.  The shared kernel census (banded
 singular-value censuses of both chiral blocks at half-width 400 for
-every grid point), the spectrum test and the heat-trace test take
-about a minute or two each; everything else is seconds.
+every grid point) and the heat-trace test take about a minute each.
+The spectrum test samples five rings at half-width 512 by
+``sample_spectrum``, which never forms the walk: two half-size Hermitian
+eigensolves of the blocks of Re U in the chiral basis give Re z, and the
+chiral blocks of the supercharge give Im z; it takes about ten seconds.
+Everything else is seconds.
 """
 
 import math

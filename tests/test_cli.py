@@ -353,6 +353,20 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert f"key '{key}': must be finite" in err
 
+    @pytest.mark.parametrize("key, place", [
+        ("q", _set_q),
+        ("left", _set(["left", "b"], 0)),
+        ("overrides[0]", _set(["overrides", 0, "b"], 0)),
+    ], ids=["q", "left.b", "overrides[0].b"])
+    def test_huge_finite_number_names_the_key(self, capsys, tmp_path, key, place):
+        # abs(q) ** 2 and abs(b) ** 2 overflow a float here
+        document = json.loads(json.dumps(NON_FINITE_BASE))
+        place(document, 1e200)
+        path = write_profile(tmp_path, document)
+        code, out, err = run_cli(capsys, "index", "--profile", path)
+        assert code == 2 and out == ""
+        assert f"key '{key}': " in err and "residual inf" in err
+
     def test_missing_profile_flag(self, capsys):
         code, _, err = run_cli(capsys, "index")
         assert code == 2 and "--profile" in err
@@ -373,6 +387,32 @@ class TestInputErrors:
         code, _, err = run_cli(capsys, "index", "--profile", e1_profile_path,
                                "--window", "0")
         assert code == 2 and "--window" in err
+
+    @pytest.mark.parametrize("command", ["spectrum", "trace", "bound-state", "verify"])
+    def test_window_beyond_memory_is_an_input_error(self, capsys, e1_profile_path, command):
+        code, out, err = run_cli(capsys, command, "--profile", e1_profile_path,
+                                 "--window", "1000000000")
+        assert code == 2 and out == ""
+        assert "--window 1000000000" in err and "physical memory" in err
+
+    def test_window_guard_reads_the_physical_memory(self, capsys, e1_profile_path,
+                                                    monkeypatch):
+        # a 41x41 complex block takes 26896 bytes
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 26896)
+        code, _, _ = run_cli(capsys, "spectrum", "--profile", e1_profile_path,
+                             "--window", "20")
+        assert code == 0
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 26895)
+        code, _, err = run_cli(capsys, "spectrum", "--profile", e1_profile_path,
+                               "--window", "20")
+        assert code == 2 and "--window 20" in err
+
+    @pytest.mark.parametrize("argv", [["index"], ["phase-diagram", "--p-grid", "0.1:0.3:0.1"]],
+                             ids=["index", "phase-diagram"])
+    def test_commands_without_a_window_ignore_it(self, capsys, e1_profile_path, argv):
+        code, _, _ = run_cli(capsys, *argv, "--profile", e1_profile_path,
+                             "--window", "1000000000")
+        assert code == 0
 
     def test_unknown_flag_uses_argparse_code(self, capsys, e1_profile_path):
         code = cli.main(["index", "--profile", e1_profile_path, "--bogus"])

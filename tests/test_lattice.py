@@ -18,6 +18,7 @@ from ssqw.lattice import (
     build_gamma,
     build_h_epsilon,
     build_q_epsilon,
+    build_r_epsilon,
     build_supercharge,
     coin_sequences,
     verify_algebra,
@@ -225,6 +226,45 @@ class TestVectorizedAssembly:
                     got = build_q_epsilon(window, params, profile, sign, form).matrix
                     want = _loop_q_epsilon(window, params, profile, sign, form)
                     assert np.array_equal(got, want), (draw, sign, form)
+
+
+def _cyclic_tridiagonal_mask(n):
+    rows = np.arange(n)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[rows, rows] = mask[rows, (rows + 1) % n] = mask[(rows + 1) % n, rows] = True
+    return mask
+
+
+class TestRealPartBlocks:
+    def test_chiral_basis_block_diagonalizes_the_real_part(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            half_width = int(rng.integers(1, 13))
+            window = LatticeWindow(half_width)
+            n = window.size
+            params = random_parameters(rng)
+            base = random_step_profile(rng)
+            sites = rng.choice(np.arange(-half_width, half_width + 1),
+                               size=int(rng.integers(1, 5)), replace=False)
+            profile = CoinProfile(base.left, base.right,
+                                  {int(x): random_coin_entry(rng) for x in sites})
+            u = build_evolution(window, params, profile).matrix
+            eps = build_epsilon(window, params).matrix
+            real_part = eps.conj().T @ ((u + u.conj().T) / 2) @ eps
+            r_plus = build_r_epsilon(window, params, profile, +1).matrix
+            r_minus = build_r_epsilon(window, params, profile, -1).matrix
+            zero = np.zeros((n, n))
+            expected = np.block([[r_plus, zero], [zero, r_minus]])
+            assert np.max(np.abs(real_part - expected)) < 1e-14
+            for block in (r_plus, r_minus):
+                assert np.array_equal(block, block.conj().T)
+                assert not np.any(block[~_cyclic_tridiagonal_mask(n)])
+
+    def test_rejects_bad_arguments(self, e1_params, e1_profile):
+        with pytest.raises(ProfileError, match="periodic"):
+            build_r_epsilon(LatticeWindow(4, OPEN), e1_params, e1_profile, +1)
+        with pytest.raises(ValueError, match="sign"):
+            build_r_epsilon(LatticeWindow(4), e1_params, e1_profile, 0)
 
 
 class TestVerifyAlgebra:

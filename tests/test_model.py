@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 from ssqw.model import (
     CoinEntry,
@@ -21,6 +21,7 @@ from ssqw.model import (
 from strategies import (
     E1_DOCUMENT,
     coin_entries,
+    fuzzed_documents,
     limit_coins,
     profiles_with_overrides,
     step_profiles,
@@ -250,3 +251,12 @@ class TestLoadProfile:
         assert params.theta == pytest.approx(0.5, abs=1e-15)
         assert profile.left.b == complex(0.8, 0.5196152422706632)
         assert profile.entry(4).is_diagonal
+
+
+@settings(max_examples=1000)
+@given(fuzzed_documents)
+def test_any_document_loads_or_raises_a_profile_error(document):
+    try:
+        load_profile(document)
+    except ProfileError:
+        pass

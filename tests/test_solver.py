@@ -1,5 +1,8 @@
 """Numerical oracles: transfer matrices, explicit kernel vectors, SVD
-censuses, spectrum sampling, heat traces, and perturbation trials."""
+censuses, spectrum sampling, heat traces, and perturbation trials.
+
+The banded census and the block spectrum are pinned to their dense
+references (SVD of the block, eigvals of the walk) computed here."""
 
 import math
 import os
@@ -9,11 +12,18 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 import ssqw
 
 from ssqw.analytic import eigenvalue_moduli, transfer_eigenvalues
-from ssqw.lattice import OPEN, LatticeWindow, TruncatedOperator, build_q_epsilon
+from ssqw.lattice import (
+    OPEN,
+    LatticeWindow,
+    TruncatedOperator,
+    build_evolution,
+    build_q_epsilon,
+)
 from ssqw.model import (
     CoinProfile,
     CoinType,
@@ -338,13 +348,13 @@ class TestResultGuards:
 
     def test_non_unitary_evolution_fails_the_spectrum_guard(self, e1_params, e1_profile,
                                                             monkeypatch):
-        honest = ssqw.lattice.build_evolution
+        honest = ssqw.lattice.build_r_epsilon
 
         def inflated(*args):
             op = honest(*args)
             return TruncatedOperator(op.role, op.window, 1.001 * op.matrix)
 
-        monkeypatch.setattr(ssqw.lattice, "build_evolution", inflated)
+        monkeypatch.setattr(ssqw.solver, "build_r_epsilon", inflated)
         with pytest.raises(RuntimeError, match="unit circle"):
             sample_spectrum(LatticeWindow(10), e1_params, e1_profile)
 
@@ -370,6 +380,39 @@ class TestSpectrum:
     def test_rejects_open_window(self, e1_params, e1_profile):
         with pytest.raises(ProfileError, match="periodic"):
             sample_spectrum(LatticeWindow(20, OPEN), e1_params, e1_profile)
+
+
+def _assert_matches_dense_spectrum(window, params, profile, tol=1e-12):
+    """The block spectrum equals eigvals of the dense walk as a multiset."""
+    got = sample_spectrum(window, params, profile)
+    want = np.linalg.eigvals(build_evolution(window, params, profile).matrix)
+    distance = np.abs(got[:, None] - want[None, :])
+    rows, cols = scipy.optimize.linear_sum_assignment(distance)
+    assert float(np.max(distance[rows, cols])) <= tol
+    assert float(np.max(np.abs(np.sort(got.real) - np.sort(want.real)))) <= tol
+
+
+class TestBlockSpectrumAgreesWithDenseEigvals:
+    def test_whole_grid_at_small_window(self):
+        window = LatticeWindow(16)
+        for params, profile in classification_grid():
+            _assert_matches_dense_spectrum(window, params, profile)
+
+    def test_random_profiles_with_overrides(self):
+        # diagonal coins cut the ring into pieces whose modes sit at +-1 in
+        # clusters; norms of the solver's columns there miss Im z by up to 1e-9
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            half_width = int(rng.integers(1, 40))
+            window = LatticeWindow(half_width)
+            params = random_parameters(rng)
+            base = random_step_profile(rng, diagonal_chance=0.5)
+            sites = rng.choice(np.arange(-half_width, half_width + 1),
+                               size=int(rng.integers(0, min(6, 2 * half_width + 2))),
+                               replace=False)
+            profile = CoinProfile(base.left, base.right,
+                                  {int(x): random_coin_entry(rng, 0.5) for x in sites})
+            _assert_matches_dense_spectrum(window, params, profile)
 
 
 class TestBandEigensystem:
