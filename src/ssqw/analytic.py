@@ -113,10 +113,11 @@ def kernel_dimensions(params: WalkParameters, profile: CoinProfile) -> tuple[int
     coin_type = classify_coin(profile)
     if coin_type is CoinType.TRIVIAL_LIMIT:
         raise ProfileError("kernel dimensions need nontrivial limit coins")
-    p = params.p
-    a_l = profile.left.a
-    a_r = profile.right.a
+    return _kernel_table(coin_type, params.p, profile.left.a, profile.right.a)
 
+
+def _kernel_table(coin_type: CoinType, p: float, a_l: float, a_r: float) -> tuple[int, int]:
+    """(d_plus, d_minus) of a nontrivial canonical step of the given type."""
     if coin_type is CoinType.I:
         d = 1 if a_l * a_r < 0 else 0
         return d, d
@@ -144,22 +145,22 @@ def is_fredholm(params: WalkParameters, profile: CoinProfile) -> tuple[bool, str
         return False, "trivial limit coin on the left"
     if profile.right.trivial:
         return False, "trivial limit coin on the right"
-    p = abs(params.p)
-    if p == abs(profile.left.a):
-        return False, "|p| = |a(L)|"
-    if p == abs(profile.right.a):
-        return False, "|p| = |a(R)|"
-    return True, ""
+    reason = _gap_closing(params.p, profile.left.a, profile.right.a)
+    return not reason, reason
 
 
-def _boundary_margins(params: WalkParameters, profile: CoinProfile) -> list[float]:
-    """Distances to the classification boundaries of the current type."""
-    coin_type = classify_coin(profile)
-    if coin_type is CoinType.TRIVIAL_LIMIT:
-        return []
-    p = params.p
-    a_l = profile.left.a
-    a_r = profile.right.a
+def _gap_closing(p: float, a_l: float, a_r: float) -> str:
+    """The |p| = |a| equality that breaks Fredholmness, or "" if none."""
+    p = abs(p)
+    if p == abs(a_l):
+        return "|p| = |a(L)|"
+    if p == abs(a_r):
+        return "|p| = |a(R)|"
+    return ""
+
+
+def _boundary_margins(coin_type: CoinType, p: float, a_l: float, a_r: float) -> list[float]:
+    """Distances to the classification boundaries of a nontrivial type."""
     if coin_type is CoinType.I:
         return [abs(a_l * a_r)]
     if coin_type in (CoinType.II, CoinType.II_PRIME):
@@ -169,8 +170,11 @@ def _boundary_margins(params: WalkParameters, profile: CoinProfile) -> list[floa
 
 def near_boundary(params: WalkParameters, profile: CoinProfile,
                   band: float = NEAR_BOUNDARY_BAND) -> bool:
-    margins = _boundary_margins(params, profile)
-    return bool(margins) and min(margins) < band
+    coin_type = classify_coin(profile)
+    if coin_type is CoinType.TRIVIAL_LIMIT:
+        return False
+    margins = _boundary_margins(coin_type, params.p, profile.left.a, profile.right.a)
+    return min(margins) < band
 
 
 def witten_index(params: WalkParameters, profile: CoinProfile,
@@ -183,35 +187,36 @@ def witten_index(params: WalkParameters, profile: CoinProfile,
     """
     step = profile.step_reduction()
     coin_type = classify_coin(step)
-    flagged = near_boundary(params, step, band)
     if coin_type is CoinType.TRIVIAL_LIMIT:
         side = "left" if step.left.trivial else "right"
         return IndexReport(
             fredholm=False,
             coin_type=coin_type,
             reason=f"trivial limit coin on the {side}",
-            near_boundary=flagged,
         )
-    fredholm, reason = is_fredholm(params, step)
-    if not fredholm:
+    # both limits are nontrivial, so a1 is the limit value a
+    p, a_l, a_r = params.p, step.left.a1, step.right.a1
+    flagged = min(_boundary_margins(coin_type, p, a_l, a_r)) < band
+    reason = _gap_closing(p, a_l, a_r)
+    if reason:
         return IndexReport(
             fredholm=False, coin_type=coin_type, reason=reason, near_boundary=flagged
         )
-    d_plus, d_minus = kernel_dimensions(params, step)
+    d_plus, d_minus = _kernel_table(coin_type, p, a_l, a_r)
     index = d_plus - d_minus
 
     # cross-check against the direct two-branch form of the index theorem
-    p, a_l, a_r = params.p, abs(step.left.a), abs(step.right.a)
-    if a_r < abs(p) < a_l:
+    abs_p = abs(p)
+    if abs(a_r) < abs_p < abs(a_l):
         expected = int(math.copysign(1, p))
-    elif a_l < abs(p) < a_r:
+    elif abs(a_l) < abs_p < abs(a_r):
         expected = -int(math.copysign(1, p))
     else:
         expected = 0
     if index != expected:
         raise RuntimeError(
             f"kernel table index {index} disagrees with the two-branch form "
-            f"{expected} at p={params.p}, a(L)={step.left.a}, a(R)={step.right.a}"
+            f"{expected} at p={p}, a(L)={a_l}, a(R)={a_r}"
         )
 
     return IndexReport(

@@ -5,10 +5,10 @@ over p), ``verify`` (the property suite), ``spectrum``, ``trace`` and
 ``bound-state`` (numerical artifacts).  Exit codes: 0 success, 1 a
 verification check failed, 2 invalid input.  Output goes to stdout or
 ``--out``; CSV uses a header row, '.' decimals and re/im column pairs
-for complex data.  All randomized behavior is fixed by ``--seed``; the
-``SSQW_THREADS`` environment variable caps sweep workers.  A ``--window``
-whose largest dense matrix would not fit in physical memory is an input
-error, found before anything is allocated.
+for complex data.  All randomized behavior is fixed by ``--seed``.  A
+``--window`` whose largest dense matrix, or a ``--p-grid`` whose rows, would
+not fit in physical memory is an input error, found before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -57,44 +56,9 @@ class RunConfig:
     t_grid: tuple = solver.DEFAULT_T_GRID
     sign: int = +1
     boundary_band: float = analytic.NEAR_BOUNDARY_BAND
-    threads: int = 1
     draws: int = 100
     full: bool = False
     inject_beta_sign: bool = False
-
-
-@dataclass(frozen=True)
-class PhaseDiagramRow:
-    p: float
-    fredholm: bool
-    d_plus: Optional[int]
-    d_minus: Optional[int]
-    index: Optional[int]
-    near_boundary: bool
-
-    def csv_cells(self) -> list[str]:
-        sentinel = ""
-        return [
-            repr(self.p),
-            "true" if self.fredholm else "false",
-            sentinel if self.d_plus is None else str(self.d_plus),
-            sentinel if self.d_minus is None else str(self.d_minus),
-            sentinel if self.index is None else str(self.index),
-            "true" if self.near_boundary else "false",
-        ]
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("SSQW_THREADS")
-    if raw is None:
-        return max(1, min(8, os.cpu_count() or 1))
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ProfileError(f"SSQW_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ProfileError(f"SSQW_THREADS must be >= 1, got {value}")
-    return value
 
 
 # side of the largest dense complex matrix a command allocates, in units of
@@ -122,6 +86,26 @@ def _require_window_fits(config: RunConfig) -> None:
         )
 
 
+# a sweep row holds at least its float (24 bytes), its list slot (8 bytes)
+# and its CSV line (18 bytes at the shortest: "0.8,false,,,,true\n")
+GRID_ROW_BYTES = 50
+
+
+def _check_limits(config: RunConfig) -> None:
+    if config.window < 1:
+        raise ProfileError("--window must be >= 1")
+    if config.draws < 1:
+        raise ProfileError(f"--draws must be >= 1, got {config.draws}")
+    band = config.boundary_band
+    if not (math.isfinite(band) and band >= 0):
+        raise ProfileError(f"--boundary-band must be finite and >= 0, got {band!r}")
+    _require_window_fits(config)
+    if config.p_grid is not None:
+        rows = _grid_count(config.p_grid)
+        if GRID_ROW_BYTES * rows > _physical_memory():
+            raise ProfileError(f"--p-grid: {rows} rows would not fit in physical memory")
+
+
 def _parse_p_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     # exact decimal arithmetic keeps -0.9:0.9:0.3 hitting 0.0 on the nose
     parts = text.split(":")
@@ -140,10 +124,19 @@ def _parse_p_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return start, stop, step
 
 
-def _grid_values(grid: tuple[Fraction, Fraction, Fraction]) -> list[float]:
+def _grid_count(grid: tuple[Fraction, Fraction, Fraction]) -> int:
     start, stop, step = grid
-    count = int((stop - start) / step) + 1
-    return [float(start + k * step) for k in range(count)]
+    return int((stop - start) / step) + 1
+
+
+def _grid_values(grid: tuple[Fraction, Fraction, Fraction]) -> list[float]:
+    # float(start + k * step) as (A + k B) / D on a common denominator D: int
+    # true division rounds correctly, as Fraction.__float__ does
+    start, _, step = grid
+    denominator = math.lcm(start.denominator, step.denominator)
+    a = start.numerator * (denominator // start.denominator)
+    b = step.numerator * (denominator // step.denominator)
+    return [(a + k * b) / denominator for k in range(_grid_count(grid))]
 
 
 def _parse_t_grid(text: str) -> tuple:
@@ -151,8 +144,8 @@ def _parse_t_grid(text: str) -> tuple:
         values = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ProfileError(f"--t-grid expects comma-separated numbers, got {text!r}")
-    if not values or any(t <= 0 for t in values) or list(values) != sorted(values):
-        raise ProfileError("--t-grid must be positive and increasing")
+    if not all(0 < t < math.inf for t in values) or list(values) != sorted(values):
+        raise ProfileError("--t-grid must be finite, positive and increasing")
     return values
 
 
@@ -177,6 +170,14 @@ def _emit(text: str, config: RunConfig):
             fh.write(text)
 
 
+def _flag(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _count(value: Optional[int]) -> str:
+    return "" if value is None else str(value)
+
+
 def _csv_text(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -192,34 +193,19 @@ def cmd_index(config: RunConfig) -> int:
     if config.output == "json":
         _emit(report.to_json() + "\n", config)
     else:
-        d = report.to_dict()
         header = ["fredholm", "coin_type", "d_plus", "d_minus", "index",
                   "near_boundary", "reason"]
         row = [
-            "true" if d["fredholm"] else "false",
-            d["coin_type"],
-            "" if d.get("d_plus") is None else str(d["d_plus"]),
-            "" if d.get("d_minus") is None else str(d["d_minus"]),
-            "" if d.get("index") is None else str(d["index"]),
-            "true" if d["near_boundary"] else "false",
-            d.get("reason", ""),
+            _flag(report.fredholm),
+            report.coin_type.value,
+            _count(report.d_plus),
+            _count(report.d_minus),
+            _count(report.index),
+            _flag(report.near_boundary),
+            report.reason,
         ]
         _emit(_csv_text(header, [row]), config)
     return EXIT_OK
-
-
-def _phase_row(p: float, theta: float, profile: CoinProfile, band: float) -> PhaseDiagramRow:
-    abs_q = math.sqrt(max(0.0, 1.0 - p * p))
-    params = validate_parameters(p, abs_q * complex(math.cos(theta), math.sin(theta)))
-    report = analytic.witten_index(params, profile, band=band)
-    return PhaseDiagramRow(
-        p=p,
-        fredholm=report.fredholm,
-        d_plus=report.d_plus,
-        d_minus=report.d_minus,
-        index=report.index,
-        near_boundary=report.near_boundary,
-    )
 
 
 def cmd_phase_diagram(config: RunConfig) -> int:
@@ -227,27 +213,34 @@ def cmd_phase_diagram(config: RunConfig) -> int:
     if config.p_grid is None:
         raise ProfileError("--p-grid is required for phase-diagram")
     values = _grid_values(config.p_grid)
-    theta = params.theta
-    with ThreadPoolExecutor(max_workers=min(config.threads, max(1, len(values)))) as pool:
-        rows = list(pool.map(
-            lambda p: _phase_row(p, theta, profile, config.boundary_band), values
-        ))
+    phase = complex(math.cos(params.theta), math.sin(params.theta))
+    reports = []
+    for p in values:
+        # a value that rounds to +-1 leaves q = 0, which validation rejects
+        q = math.sqrt(max(0.0, 1.0 - p * p)) * phase
+        reports.append(analytic.witten_index(validate_parameters(p, q), profile,
+                                             band=config.boundary_band))
     if config.output == "json":
         payload = [
             {
-                "p": r.p,
+                "p": p,
                 "fredholm": r.fredholm,
                 "d_plus": r.d_plus,
                 "d_minus": r.d_minus,
                 "index": r.index,
                 "near_boundary": r.near_boundary,
             }
-            for r in rows
+            for p, r in zip(values, reports)
         ]
         _emit(canonical_json(payload) + "\n", config)
     else:
         header = ["p", "fredholm", "d_plus", "d_minus", "index", "near_boundary"]
-        _emit(_csv_text(header, (r.csv_cells() for r in rows)), config)
+        rows = (
+            [repr(p), _flag(r.fredholm), _count(r.d_plus), _count(r.d_minus),
+             _count(r.index), _flag(r.near_boundary)]
+            for p, r in zip(values, reports)
+        )
+        _emit(_csv_text(header, rows), config)
     return EXIT_OK
 
 
@@ -694,7 +687,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         t_grid=_parse_t_grid(args.t_grid) if getattr(args, "t_grid", None) else solver.DEFAULT_T_GRID,
         sign=+1 if getattr(args, "sign", "plus") == "plus" else -1,
         boundary_band=args.boundary_band,
-        threads=_threads_from_env(),
         draws=getattr(args, "draws", 100),
         full=getattr(args, "full", False),
         inject_beta_sign=getattr(args, "inject_beta_sign", False),
@@ -739,9 +731,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _config_from_args(args)
-        if args.window < 1:
-            raise ProfileError("--window must be >= 1")
-        _require_window_fits(config)
+        _check_limits(config)
         return COMMANDS[config.command](config)
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 
+from ssqw import analytic
 from ssqw.analytic import (
     EigenPair,
     alpha_coefficient,
@@ -241,6 +242,28 @@ class TestWittenIndex:
         else:
             assert report.index is None and report.reason
 
+    @given(walk_parameters(), step_profiles())
+    def test_agrees_with_the_public_parts(self, params, profile):
+        report = witten_index(params, profile, band=0.05)
+        assert (report.fredholm, report.reason) == is_fredholm(params, profile)
+        assert report.near_boundary == near_boundary(params, profile, band=0.05)
+        if report.fredholm:
+            assert (report.d_plus, report.d_minus) == kernel_dimensions(params, profile)
+
+    def test_corrupted_kernel_table_fails_the_cross_check(self, monkeypatch, e1_params,
+                                                          e1_profile):
+        table = analytic._kernel_table
+
+        def flipped(*args):
+            d_plus, d_minus = table(*args)
+            return 1 - d_plus, d_minus
+
+        monkeypatch.setattr(analytic, "_kernel_table", flipped)
+        # one table serves both routes
+        assert kernel_dimensions(e1_params, e1_profile) == (0, 0)
+        with pytest.raises(RuntimeError, match="two-branch form"):
+            witten_index(e1_params, e1_profile)
+
     @pytest.mark.parametrize("a_l,a_r", [(0.8, 0.6), (1.0, 0.5), (0.5, 1.0), (-0.7, 0.7)])
     def test_p_zero_index_vanishes(self, a_l, a_r):
         params = validate_parameters(0.0, 1.0)
@@ -305,3 +328,10 @@ class TestNearBoundary:
         profile = CoinProfile(DIAG_PLUS, DIAG_MINUS)
         # aL aR = -1 is far from the boundary for every p
         assert not near_boundary(_params(0.5), profile)
+
+    def test_band_is_a_strict_bound_on_both_routes(self, e1_profile):
+        params = _params(0.5)
+        margin = abs(0.5 - 0.8)  # the smallest margin, |p - a(L)|
+        for band, flagged in ((margin, False), (math.nextafter(margin, 1.0), True)):
+            assert near_boundary(params, e1_profile, band) is flagged
+            assert witten_index(params, e1_profile, band).near_boundary is flagged

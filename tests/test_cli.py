@@ -1,10 +1,13 @@
 """Command-line contract: frozen report bytes, sweep semantics, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -92,6 +95,53 @@ class TestIndexCommand:
         assert json.loads(out)["near_boundary"] is True
 
 
+def _decimal(value: Fraction) -> str:
+    # exact decimal text of a fraction whose denominator divides a power of ten
+    k = 0
+    while 10 ** k % value.denominator:
+        k += 1
+    return f"{value.numerator * 10 ** k // value.denominator}e-{k}"
+
+
+_DIAGONAL = {"a1": 1.0, "a2": -1.0, "b": [0.0, 0.0]}
+_ANTI_DIAGONAL = {"a1": -1.0, "a2": 1.0, "b": [0.0, 0.0]}
+
+# (id, document, grid, extra flags, sha256 of the CSV output, sha256 of the
+# JSON output), as written by commit 21a16fb
+PINNED_SWEEPS = [
+    ("type-I", {"p": 0.3, "left": _DIAGONAL, "right": _ANTI_DIAGONAL}, "-0.99:0.99:0.01", [],
+     "f5c7b0715b8b7f4d3e780d990759f3e14666491b63934dc578327952d28fd611",
+     "cdfcdd06704a6cd2875d9e0bbe7cd7490acaeb92f96fe10b19f4fc231bf71b4c"),
+    ("type-II", {"p": 0.3, "theta": 1.1, "left": _ANTI_DIAGONAL,
+                 "right": {"a": 0.6, "b": [0.48, 0.64]}}, "-0.99:0.99:0.01", [],
+     "f64841bd89ce45c71af402ddb966d8d676ff4da90ceedb39ec6e3eb60910f249",
+     "fe709a69ca7cd19852d6a1f0cbb9edf544751891fb7ec630e17123173d89a8f8"),
+    ("type-II-prime", {"p": -0.2, "theta": -2.5, "left": {"a": 0.28, "b": [0.0, 0.96]},
+                       "right": _DIAGONAL}, "-0.99:0.99:0.01", [],
+     "e53a7945fd4a1c73aadbb85f3b10f91af4173884f6573a8f5318c10d4c0612ea",
+     "aa855982199d726d4a9cc4d85e4fbc9ca58e8b1ac46fb7d3c4cc9e4007c11c11"),
+    ("type-III", {"p": 0.5, "theta": 0.7, "left": {"a": -0.6, "b": [0.0, 0.8]},
+                  "right": {"a": 0.28, "b": [0.96, 0.0]}}, "-0.99:0.99:0.01", [],
+     "4a1e4fd3f72943d00c0be60b2c3bec4684efe627d0074e49cc8aaaae8e3930a4",
+     "890ea4b9765e2cbcbc3916b2aed0b6f948536e707003c49543e82b5f12dff427"),
+    ("trivial-limit", {"p": 0.5, "left": {"a1": 1.0, "a2": 1.0, "b": [0.0, 0.0]},
+                       "right": {"a": 0.6, "b": [0.8, 0.0]}}, "-0.9:0.9:0.05", [],
+     "fcd669a72f4139744293896fcbcea35e67cd70f03798210f41f02ef7e8f78589",
+     "08532591ccfb0c784cb2610abc7d1105f485c4d260297e4bfe679139f5699539"),
+    ("overrides", dict(E1_DOCUMENT, overrides=[
+        {"x": 0, "a1": 0.28, "a2": -0.28, "b": [0.96, 0.0]},
+        {"x": -3, "a1": 1.0, "a2": -1.0, "b": [0.0, 0.0]},
+    ]), "-0.95:0.95:0.05", [],
+     "a32a20fa7afc9963673c582bfbb29eff80f9cbcf14e5bfafa67daf31b816c0f8",
+     "c1e24c51d304bf0a803324d014f8a2ffefb6bad018951108d72c6c92fe958281"),
+    # steps of 1e-10 across |p| = |a(L)| = 0.8, with a band that flags some
+    ("gap-closing", E1_DOCUMENT, "0.7999999995:0.8000000005:0.0000000001",
+     ["--boundary-band", "3e-10"],
+     "ecce572ef36cc331a62c75d12dac79d773c32e835ff27afa6cd05549b96f7e3f",
+     "cee75a66d07309881091f216324e3b8acb538a91b1a40d2b45109d53cb781418"),
+]
+
+
 class TestPhaseDiagram:
     def _rows(self, capsys, path, grid):
         code, out, _ = run_cli(capsys, "phase-diagram", "--profile", path,
@@ -144,12 +194,36 @@ class TestPhaseDiagram:
         assert code == 0
         assert canonical_json(json.loads(out)) + "\n" == out
 
-    def test_row_order_follows_the_grid_with_threads(self, capsys, e1_profile_path,
-                                                     monkeypatch):
-        monkeypatch.setenv("SSQW_THREADS", "4")
+    def test_row_order_follows_the_grid(self, capsys, e1_profile_path):
         rows = self._rows(capsys, e1_profile_path, "-0.9:0.9:0.01")
         values = [float(cells[0]) for cells in rows]
-        assert values == sorted(values)
+        assert len(values) == 181 and values == sorted(values)
+
+    @pytest.mark.parametrize("document, grid, extra, csv_sha, json_sha",
+                             [case[1:] for case in PINNED_SWEEPS],
+                             ids=[case[0] for case in PINNED_SWEEPS])
+    def test_output_bytes_are_pinned(self, capsys, tmp_path, document, grid, extra,
+                                     csv_sha, json_sha):
+        path = write_profile(tmp_path, document)
+        for fmt, expected in (("csv", csv_sha), ("json", json_sha)):
+            code, out, _ = run_cli(capsys, "phase-diagram", "--profile", path,
+                                   "--p-grid", grid, "--format", fmt, *extra)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == expected, fmt
+
+    def test_grid_values_match_exact_fractions(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            while True:
+                start = Fraction(rng.randrange(-10**9, 10**9), 10 ** rng.randint(0, 18))
+                step = Fraction(rng.randrange(1, 10**6), 10 ** rng.randint(1, 18))
+                count = rng.randint(1, 60)
+                stop = start + (count - 1) * step + step * rng.randrange(100) / 100
+                if -1 < start and stop < 1:
+                    break
+            grid = cli._parse_p_grid(f"{_decimal(start)}:{_decimal(stop)}:{_decimal(step)}")
+            oracle = [float(start + k * step) for k in range(count)]
+            assert [repr(v) for v in cli._grid_values(grid)] == [repr(v) for v in oracle]
 
     def test_determinism(self, capsys, e1_profile_path):
         _, first, _ = run_cli(capsys, "phase-diagram", "--profile", e1_profile_path,
@@ -378,10 +452,47 @@ class TestInputErrors:
                                "--p-grid", grid)
         assert code == 2 and "--p-grid" in err
 
-    def test_bad_threads_env(self, capsys, e1_profile_path, monkeypatch):
-        monkeypatch.setenv("SSQW_THREADS", "zero")
-        code, _, err = run_cli(capsys, "index", "--profile", e1_profile_path)
-        assert code == 2 and "SSQW_THREADS" in err
+    def test_grid_value_rounding_to_one_is_an_input_error(self, capsys, e1_profile_path):
+        # inside (-1, 1) as a fraction, but the float is 1.0 and leaves q = 0
+        code, out, err = run_cli(capsys, "phase-diagram", "--profile", e1_profile_path,
+                                 "--p-grid", "0.99999999999999999:0.99999999999999999:0.1")
+        assert code == 2 and out == "" and "q must be nonzero" in err
+
+    def test_grid_beyond_memory_is_an_input_error(self, capsys, e1_profile_path):
+        # 1.8e15 rows: the guard must refuse before building the value list
+        code, out, err = run_cli(capsys, "phase-diagram", "--profile", e1_profile_path,
+                                 "--p-grid", "-0.9:0.9:1e-15")
+        assert code == 2 and out == ""
+        assert "--p-grid" in err and "physical memory" in err
+
+    def test_grid_guard_reads_the_physical_memory(self, capsys, e1_profile_path,
+                                                  monkeypatch):
+        rows = ["phase-diagram", "--profile", e1_profile_path, "--p-grid", "0.1:0.3:0.1"]
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * cli.GRID_ROW_BYTES)
+        code, _, _ = run_cli(capsys, *rows)
+        assert code == 0
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * cli.GRID_ROW_BYTES - 1)
+        code, out, err = run_cli(capsys, *rows)
+        assert code == 2 and out == "" and "--p-grid: 3 rows" in err
+
+    @pytest.mark.parametrize("band", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("argv", [["index"], ["phase-diagram", "--p-grid", "0.1:0.3:0.1"]],
+                             ids=["index", "phase-diagram"])
+    def test_bad_boundary_band(self, capsys, e1_profile_path, argv, band):
+        code, out, err = run_cli(capsys, *argv, "--profile", e1_profile_path,
+                                 "--boundary-band", band)
+        assert code == 2 and out == "" and "--boundary-band" in err
+
+    @pytest.mark.parametrize("t_grid", ["nan,1", "1,inf", "-inf,1"])
+    def test_non_finite_t_grid(self, capsys, e1_profile_path, t_grid):
+        code, out, err = run_cli(capsys, "trace", "--profile", e1_profile_path,
+                                 f"--t-grid={t_grid}")
+        assert code == 2 and out == "" and "--t-grid" in err and "finite" in err
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_draws_below_one(self, capsys, draws):
+        code, out, err = run_cli(capsys, "verify", "--draws", draws)
+        assert code == 2 and out == "" and "--draws" in err
 
     def test_bad_window(self, capsys, e1_profile_path):
         code, _, err = run_cli(capsys, "index", "--profile", e1_profile_path,
