@@ -62,9 +62,9 @@ class RunConfig:
 
 
 # side of the largest dense complex matrix a command allocates, in units of
-# the window size 2N+1: the chiral blocks and their eigenvectors (spectrum,
-# trace, bound-state) or the two-component walk operators (verify's algebra)
-DENSE_SIDE_PER_SITE = {"spectrum": 1, "trace": 1, "bound-state": 1, "verify": 2}
+# the window size 2N+1: the chiral blocks and their eigenvectors; verify's
+# algebra check keeps the two-component operators sparse
+DENSE_SIDE_PER_SITE = {"spectrum": 1, "trace": 1, "bound-state": 1, "verify": 1}
 
 
 def _physical_memory() -> int:
@@ -86,9 +86,10 @@ def _require_window_fits(config: RunConfig) -> None:
         )
 
 
-# a sweep row holds at least its float (24 bytes), its list slot (8 bytes)
-# and its CSV line (18 bytes at the shortest: "0.8,false,,,,true\n")
-GRID_ROW_BYTES = 50
+# peak bytes per sweep row by output format: its float, its IndexReport and
+# its CSV text or JSON dict, as tracemalloc measured the peak of a 19,999-row
+# sweep (293 and 688 bytes a row), rounded up
+GRID_ROW_BYTES = {"csv": 300, "json": 700}
 
 
 def _check_limits(config: RunConfig) -> None:
@@ -102,7 +103,7 @@ def _check_limits(config: RunConfig) -> None:
     _require_window_fits(config)
     if config.p_grid is not None:
         rows = _grid_count(config.p_grid)
-        if GRID_ROW_BYTES * rows > _physical_memory():
+        if GRID_ROW_BYTES[config.output] * rows > _physical_memory():
             raise ProfileError(f"--p-grid: {rows} rows would not fit in physical memory")
 
 
@@ -355,13 +356,10 @@ def _check_algebra(config: RunConfig) -> CheckResult:
         if config.inject_beta_sign:
             # sabotage the reference block's diagonal (the beta terms) so the
             # off-diagonalization comparison must blow past the threshold
-            block = lattice.build_q_epsilon(window, params, profile, +1, form=lattice.RAW).matrix
-            eps = lattice.build_epsilon(window, params).matrix
-            q = lattice.build_supercharge(window, params, profile).matrix
-            conjugated = eps.conj().T @ q @ eps
-            n = window.size
-            mutated = block.copy()
+            mutated = lattice.build_q_epsilon(window, params, profile, +1).matrix / (-2j)
             np.fill_diagonal(mutated, -np.diag(mutated))
+            conjugated = lattice.chiral_supercharge(window, params, profile)
+            n = window.size
             worst = max(worst, float(np.max(np.abs(conjugated[n:, :n] - mutated))))
     detail = f"max residual {worst:.3e} over {config.draws} draws at N={config.window} (threshold 1e-11)"
     if config.inject_beta_sign:

@@ -6,16 +6,25 @@ sites, the last 2N+1 the lower component.  Periodic windows wrap the
 shift (exactly unitary, used for operator-algebra checks); open windows
 drop the couplings across the ends (finite sections, used for kernel
 counting and heat traces).
+
+Every two-component operator here (gamma, the coin, the chiral rotation)
+has exactly two entries per row, one in each component.  They are
+assembled once, as sparse CSR matrices; the operator-algebra check
+multiplies them in that form, and the public ``build_*`` functions hand
+out their dense copies.
 """
 
 from __future__ import annotations
 
 import cmath
-import csv
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .model import CoinProfile, ProfileError, WalkParameters
 from .analytic import alpha_coefficient
@@ -62,32 +71,6 @@ class TruncatedOperator:
     window: LatticeWindow
     matrix: np.ndarray
 
-    def to_csv(self, path):
-        """Dense row-major dump; complex entries as adjacent re/im columns."""
-        m = np.asarray(self.matrix)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = []
-            for j in range(m.shape[1]):
-                header += [f"c{j}_re", f"c{j}_im"]
-            writer.writerow(header)
-            for row in m:
-                cells = []
-                for z in row:
-                    cells += [repr(float(z.real)), repr(float(z.imag))]
-                writer.writerow(cells)
-
-
-def _shift_matrix(window: LatticeWindow) -> np.ndarray:
-    """(L psi)(x) = psi(x+1); periodic windows wrap the last row."""
-    n = window.size
-    mat = np.zeros((n, n))
-    for i in range(n - 1):
-        mat[i, i + 1] = 1.0
-    if window.periodic:
-        mat[n - 1, 0] = 1.0
-    return mat
-
 
 def _site_entries(profile: CoinProfile, sites: np.ndarray):
     """The profile's distinct coin entries and, per site, the index of its entry.
@@ -111,73 +94,117 @@ def coin_sequences(window: LatticeWindow, profile: CoinProfile):
     return a1, a2, b
 
 
+def _two_entry_rows(n: int, left_cols, left_vals, right_cols, right_vals) -> sp.csr_array:
+    """2n x 2n CSR matrix whose row i holds left_vals[i] in column left_cols[i]
+    and right_vals[i] in column n + right_cols[i], all columns below n."""
+    # imported here, not with the module: only the two-component operators
+    # are sparse, and the import costs every other command about 20 ms and 1.5 MiB
+    import scipy.sparse as sp
+
+    indices = np.empty((2 * n, 2), dtype=np.int32)
+    indices[:, 0] = left_cols
+    indices[:, 1] = n + right_cols
+    data = np.empty((2 * n, 2), dtype=complex)
+    data[:, 0] = left_vals
+    data[:, 1] = right_vals
+    return sp.csr_array((data.ravel(), indices.ravel(), np.arange(0, 4 * n + 1, 2)),
+                        shape=(2 * n, 2 * n))
+
+
+def _shift(window: LatticeWindow):
+    """Columns and values of the rows of the shift (L psi)(x) = psi(x+1) and of L*.
+
+    Row i of L has its entry in column i+1 and row i of L* in column i-1,
+    cyclically; an open window keeps the couplings across its ends as
+    explicit zeros.
+    """
+    rows = np.arange(window.size)
+    hop = np.ones(window.size)
+    if not window.periodic:
+        hop[-1] = 0.0
+    return np.roll(rows, -1), hop, np.roll(rows, 1), np.roll(hop, 1)
+
+
+def _gamma(window: LatticeWindow, params: WalkParameters) -> sp.csr_array:
+    n = window.size
+    rows = np.arange(n)
+    ahead, hop, behind, hop_adj = _shift(window)
+    p = np.full(n, params.p)
+    return _two_entry_rows(n, np.concatenate([rows, behind]),
+                           np.concatenate([p, params.q.conjugate() * hop_adj]),
+                           np.concatenate([ahead, rows]),
+                           np.concatenate([params.q * hop, -p]))
+
+
+def _coin(window: LatticeWindow, profile: CoinProfile) -> sp.csr_array:
+    n = window.size
+    a1, a2, b = coin_sequences(window, profile)
+    cols = np.tile(np.arange(n), 2)
+    return _two_entry_rows(n, cols, np.concatenate([a1, b]),
+                           cols, np.concatenate([b.conjugate(), a2]))
+
+
+def _epsilon(window: LatticeWindow, params: WalkParameters) -> sp.csr_array:
+    if not window.periodic:
+        raise ProfileError("the chiral rotation is built on periodic windows only")
+    n = window.size
+    rows = np.arange(n)
+    cols = np.concatenate([rows, np.roll(rows, 1)])  # L* in the lower half
+    phase = cmath.exp(-1j * params.theta)
+    plus, minus = math.sqrt(1.0 + params.p), math.sqrt(1.0 - params.p)
+    left = np.array([plus, minus * phase]) / math.sqrt(2.0)
+    right = np.array([-minus, plus * phase]) / math.sqrt(2.0)
+    return _two_entry_rows(n, cols, np.repeat(left, n), cols, np.repeat(right, n))
+
+
+def _evolution(window: LatticeWindow, params: WalkParameters,
+               profile: CoinProfile) -> sp.csr_array:
+    return _gamma(window, params) @ _coin(window, profile)
+
+
+def _supercharge(window: LatticeWindow, params: WalkParameters,
+                 profile: CoinProfile) -> sp.csr_array:
+    g = _gamma(window, params)
+    c = _coin(window, profile)
+    return (g @ c - c @ g) / 2j
+
+
 def build_gamma(window: LatticeWindow, params: WalkParameters) -> TruncatedOperator:
     """Shift half of the walk: [[p, q L], [conj(q) L*, -p]].
 
     Self-adjoint always; an involution (gamma^2 = 1) only on periodic
     windows, where L is exactly unitary.
     """
-    n = window.size
-    shift = _shift_matrix(window)
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    mat[:n, :n] = params.p * np.eye(n)
-    mat[:n, n:] = params.q * shift
-    mat[n:, :n] = params.q.conjugate() * shift.T
-    mat[n:, n:] = -params.p * np.eye(n)
-    return TruncatedOperator("gamma", window, mat)
+    return TruncatedOperator("gamma", window, _gamma(window, params).toarray())
 
 
 def build_coin(window: LatticeWindow, profile: CoinProfile) -> TruncatedOperator:
     """Coin half: sitewise [[a1, conj(b)], [b, a2]]; always an involution."""
-    n = window.size
-    a1, a2, b = coin_sequences(window, profile)
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    mat[:n, :n] = np.diag(a1)
-    mat[:n, n:] = np.diag(b.conjugate())
-    mat[n:, :n] = np.diag(b)
-    mat[n:, n:] = np.diag(a2)
-    return TruncatedOperator("coin", window, mat)
+    return TruncatedOperator("coin", window, _coin(window, profile).toarray())
 
 
 def build_evolution(window: LatticeWindow, params: WalkParameters,
                     profile: CoinProfile) -> TruncatedOperator:
-    mat = build_gamma(window, params).matrix @ build_coin(window, profile).matrix
-    return TruncatedOperator("evolution", window, mat)
+    """The walk U = gamma C."""
+    return TruncatedOperator("evolution", window,
+                             _evolution(window, params, profile).toarray())
 
 
 def build_supercharge(window: LatticeWindow, params: WalkParameters,
                       profile: CoinProfile) -> TruncatedOperator:
     """Q = [gamma, coin] / 2i; on periodic windows equals (U - U*) / 2i."""
-    g = build_gamma(window, params).matrix
-    c = build_coin(window, profile).matrix
-    mat = (g @ c - c @ g) / 2j
-    return TruncatedOperator("supercharge", window, mat)
+    return TruncatedOperator("supercharge", window,
+                             _supercharge(window, params, profile).toarray())
 
 
 def build_epsilon(window: LatticeWindow, params: WalkParameters) -> TruncatedOperator:
-    """Chiral-basis rotation; periodic windows only (needs L unitary)."""
-    if not window.periodic:
-        raise ProfileError("the chiral rotation is built on periodic windows only")
-    n = window.size
-    shift_adj = _shift_matrix(window).T
-    phase = cmath.exp(-1j * params.theta)
-    sp = math.sqrt(1.0 + params.p)
-    sm = math.sqrt(1.0 - params.p)
-    mat = np.zeros((2 * n, 2 * n), dtype=complex)
-    mat[:n, :n] = sp * np.eye(n)
-    mat[:n, n:] = -sm * np.eye(n)
-    mat[n:, :n] = sm * phase * shift_adj
-    mat[n:, n:] = sp * phase * shift_adj
-    return TruncatedOperator("epsilon", window, mat / math.sqrt(2.0))
-
-
-RAW = "raw"
-RESCALED = "rescaled"
+    """Chiral-basis rotation [[sqrt(1+p), -sqrt(1-p)], [sqrt(1-p) e^{-i theta} L*,
+    sqrt(1+p) e^{-i theta} L*]] / sqrt(2); periodic windows only (needs L unitary)."""
+    return TruncatedOperator("epsilon", window, _epsilon(window, params).toarray())
 
 
 def build_q_epsilon(window: LatticeWindow, params: WalkParameters,
-                    profile: CoinProfile, sign: int,
-                    form: str = RESCALED) -> TruncatedOperator:
+                    profile: CoinProfile, sign: int) -> TruncatedOperator:
     """One chiral block of the supercharge as a tridiagonal window matrix.
 
     Row x carries alpha_s(x+1) on the superdiagonal, -conj(alpha_{-s}(x))
@@ -185,13 +212,11 @@ def build_q_epsilon(window: LatticeWindow, params: WalkParameters,
     beta(x) = |q| (a2(x+1) - a1(x)).  Periodic windows evaluate x+1
     cyclically; open windows drop the end couplings but keep the true
     beta, so the matrix is the finite section of the half-infinite one.
-    The ``rescaled`` form is -2i times the ``raw`` block of the conjugated
-    supercharge.
+    The block is rescaled: -2i times the matching block of the supercharge
+    in the chiral basis (``chiral_supercharge``).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if form not in (RAW, RESCALED):
-        raise ValueError(f"form must be '{RAW}' or '{RESCALED}'")
     n = window.size
     sites = window.sites
     ahead = sites + 1
@@ -214,10 +239,8 @@ def build_q_epsilon(window: LatticeWindow, params: WalkParameters,
     if window.periodic:
         mat[n - 1, 0] = upper[nxt[-1]]
         mat[0, n - 1] = lower[here[0]]
-    if form == RAW:
-        mat = mat / (-2j)
     label = "plus" if sign == 1 else "minus"
-    return TruncatedOperator(f"q_epsilon_{label}_{form}", window, mat)
+    return TruncatedOperator(f"q_epsilon_{label}", window, mat)
 
 
 def build_r_epsilon(window: LatticeWindow, params: WalkParameters,
@@ -253,20 +276,20 @@ def build_r_epsilon(window: LatticeWindow, params: WalkParameters,
     return TruncatedOperator(f"r_epsilon_{label}", window, mat)
 
 
-def build_h_epsilon(window: LatticeWindow, params: WalkParameters,
-                    profile: CoinProfile, sign: int) -> TruncatedOperator:
-    """Chiral block Hamiltonian R* R from the rescaled block R.
+def chiral_supercharge(window: LatticeWindow, params: WalkParameters,
+                       profile: CoinProfile) -> sp.csr_array:
+    """The supercharge in the chiral basis, eps* Q eps, as a sparse matrix.
 
-    Equals -R_minus R_plus (resp. -R_plus R_minus) exactly, window
-    truncation included, because the rescaled blocks satisfy R* = -R_flip.
+    Its lower-left block is Q_plus and its upper-right block Q_minus, the
+    blocks of ``build_q_epsilon`` divided by -2i; its diagonal blocks
+    vanish.  Periodic windows only, like the rotation.
     """
-    r = build_q_epsilon(window, params, profile, sign, form=RESCALED).matrix
-    label = "plus" if sign == 1 else "minus"
-    return TruncatedOperator(f"h_epsilon_{label}", window, r.conj().T @ r)
+    eps = _epsilon(window, params)
+    return eps.conj().T @ _supercharge(window, params, profile) @ eps
 
 
-def _max_abs(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat))) if mat.size else 0.0
+def _max_abs(mat) -> float:
+    return float(abs(mat).max())
 
 
 @dataclass(frozen=True)
@@ -291,21 +314,25 @@ def verify_algebra(window: LatticeWindow, params: WalkParameters,
     definitions, the chiral anticommutation, unitarity of the basis
     rotation, and that conjugating the supercharge by it produces exactly
     the two off-diagonal tridiagonal blocks (with vanishing diagonal
-    blocks).
+    blocks).  The products are sparse; only the n x n off-diagonal blocks
+    meet the dense blocks of ``build_q_epsilon``.
     """
     if not window.periodic:
         raise ProfileError("operator-algebra checks run on periodic windows")
-    n = window.size
-    eye = np.eye(2 * n)
-    gamma = build_gamma(window, params).matrix
-    coin = build_coin(window, profile).matrix
-    evolution = build_evolution(window, params, profile).matrix
-    q = build_supercharge(window, params, profile).matrix
-    eps = build_epsilon(window, params).matrix
+    import scipy.sparse as sp  # see _two_entry_rows
 
-    conjugated = eps.conj().T @ q @ eps
-    q_plus_raw = build_q_epsilon(window, params, profile, +1, form=RAW).matrix
-    q_minus_raw = build_q_epsilon(window, params, profile, -1, form=RAW).matrix
+    n = window.size
+    eye = sp.identity(2 * n, dtype=complex, format="csr")
+    gamma = _gamma(window, params)
+    coin = _coin(window, profile)
+    evolution = _evolution(window, params, profile)
+    q = _supercharge(window, params, profile)
+    eps = _epsilon(window, params)
+    eps_adj = eps.conj().T
+
+    conjugated = chiral_supercharge(window, params, profile)
+    q_plus = build_q_epsilon(window, params, profile, +1).matrix / (-2j)
+    q_minus = build_q_epsilon(window, params, profile, -1).matrix / (-2j)
 
     residuals = {
         "gamma_involution": _max_abs(gamma @ gamma - eye),
@@ -313,14 +340,12 @@ def verify_algebra(window: LatticeWindow, params: WalkParameters,
         "evolution_definition": _max_abs(evolution - gamma @ coin),
         "supercharge_definition": _max_abs(2j * q - (evolution - evolution.conj().T)),
         "chiral_anticommutation": _max_abs(q @ gamma + gamma @ q),
-        "epsilon_unitarity": _max_abs(eps.conj().T @ eps - eye),
+        "epsilon_unitarity": _max_abs(eps_adj @ eps - eye),
         "epsilon_gamma_diagonal": _max_abs(
-            eps.conj().T @ gamma @ eps
-            - np.block([[np.eye(n), np.zeros((n, n))],
-                        [np.zeros((n, n)), -np.eye(n)]])
+            eps_adj @ gamma @ eps - sp.diags_array(np.repeat([1.0, -1.0], n))
         ),
-        "offdiagonal_block_plus": _max_abs(conjugated[n:, :n] - q_plus_raw),
-        "offdiagonal_block_minus": _max_abs(conjugated[:n, n:] - q_minus_raw),
+        "offdiagonal_block_plus": _max_abs(conjugated[n:, :n] - q_plus),
+        "offdiagonal_block_minus": _max_abs(conjugated[:n, n:] - q_minus),
         "diagonal_blocks_vanish": max(
             _max_abs(conjugated[:n, :n]), _max_abs(conjugated[n:, n:])
         ),

@@ -6,13 +6,18 @@ square-summable kernel vectors, singular-value kernel counting on open
 windows, spectrum sampling on periodic windows from the chiral blocks,
 heat-trace index estimates, and compact-perturbation robustness trials.
 
-The chiral blocks are tridiagonal, so the kernel census and the heat
-trace work on bands: the census takes singular values from a banded
-eigensolve of the Hermitian dilation [[0, R], [R*, 0]] and null vectors
-from banded inverse iteration, never a dense SVD.  The spectrum does not
-build the walk: two half-size Hermitian eigensolves of the blocks of
-Re U in the chiral basis give Re z, and the chiral blocks of the
-supercharge applied to their eigenvectors give Im z.  Checks on a result
+The chiral blocks are tridiagonal with a real diagonal and real products
+of opposite hoppings, so a diagonal phase gauge makes each block real
+(``_real_gauge``), and the kernel census and the heat trace work on real
+bands: the census takes singular values from a banded eigensolve of the
+real symmetric dilation [[0, R], [R^T, 0]] and null vectors from banded
+inverse iteration, never a dense SVD; the heat trace solves the
+pentadiagonal R^T R.  A block the gauge cannot make real is rejected, not
+solved by another route.  The spectrum does not build the walk: two
+half-size Hermitian eigensolves of the blocks of Re U in the chiral
+basis give Re z, and the chiral blocks of the supercharge applied to
+their eigenvectors give Im z.  The ring blocks of Re U carry a flux
+that no gauge removes, so they stay complex.  Checks on a result
 (unit-circle and decay conditions, census thresholds) raise exceptions
 rather than assert, so they hold under ``python -O`` too.
 """
@@ -315,29 +320,71 @@ def _tridiagonal_bands(mat: np.ndarray):
     return np.diag(mat).copy(), np.diag(mat, 1).copy(), np.diag(mat, -1).copy()
 
 
+def _tridiagonal_product(d: np.ndarray, e: np.ndarray, f: np.ndarray,
+                         x: np.ndarray) -> np.ndarray:
+    """R x for the tridiagonal R with diagonal d, superdiagonal e, subdiagonal f."""
+    y = d[:, None] * x
+    y[:-1] += e[:, None] * x[1:]
+    y[1:] += f[:, None] * x[:-1]
+    return y
+
+
+GAUGE_REL_TOL = 1e-12  # imaginary parts a real gauge may drop, relative to their entry
+
+
+def _real_gauge(d: np.ndarray, e: np.ndarray, f: np.ndarray, role: str):
+    """A real tridiagonal R' = D R D* and the unit phases x of D = diag(x).
+
+    R has diagonal d, superdiagonal e and subdiagonal f.  With
+    x_{i+1} = x_i e_i / |e_i| (from f_i where e_i = 0) the superdiagonal of
+    D R D* is |e_i| and its subdiagonal e_i f_i / |e_i|, so R' is real when
+    the diagonal and every product e_i f_i are.  Every chiral block of the
+    walk has this form: its diagonal is s |q| (a2 - a1) and
+    e_i f_i = -(1 - p^2) |b|^2.  Imaginary parts within GAUGE_REL_TOL of
+    their entry are rounding and are dropped; larger ones raise ValueError
+    naming the block.  R' has the singular values of R, and v = D* v' maps
+    its singular vectors back without changing |v|.
+    """
+    ef = e * f
+    if (np.any(np.abs(d.imag) > GAUGE_REL_TOL * np.abs(d))
+            or np.any(np.abs(ef.imag) > GAUGE_REL_TOL * np.abs(ef))):
+        raise ValueError(f"the real gauge needs a real diagonal and real products "
+                         f"R[i, i+1] R[i+1, i]; {role} has not")
+    size_e, size_f = np.abs(e), np.abs(f)
+    has_e = size_e > 0
+    steps = np.ones(len(e), dtype=complex)
+    steps[has_e] = e[has_e] / size_e[has_e]
+    only_f = ~has_e & (size_f > 0)
+    steps[only_f] = f[only_f].conjugate() / size_f[only_f]
+    phases = np.concatenate([[1.0 + 0j], np.cumprod(steps)])
+    sub = size_f.copy()
+    sub[has_e] = ef.real[has_e] / size_e[has_e]
+    return d.real.copy(), size_e, sub, phases
+
+
 INVERSE_ITERATION_STEPS = 4  # even, so the iterate returns to the v-part
 INVERSE_ITERATION_SHIFT = 1e-3  # shift of H - mu I, in units of the threshold
 INVERSE_ITERATION_EXTRA = 4  # block columns beyond the candidates
 
 
 def _dilation_bands(d: np.ndarray, e: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Upper band storage of H = [[0, R], [R*, 0]] in the order u0, v0, u1, v1, ...
+    """Upper band storage of H = [[0, R], [R^T, 0]] in the order u0, v0, u1, v1, ...
 
-    R is tridiagonal with diagonal d, superdiagonal e and subdiagonal f.
-    In the interleaved order H has bandwidth 3: R[i, i] sits at offset 1,
-    conj(R[i+1, i]) at offset 1 and R[i, i+1] at offset 3.
+    R is real tridiagonal with diagonal d, superdiagonal e and subdiagonal
+    f.  In the interleaved order H has bandwidth 3: R[i, i] sits at
+    offset 1, R[i+1, i] at offset 1 and R[i, i+1] at offset 3.
     """
     n = len(d)
-    bands = np.zeros((4, 2 * n), dtype=complex)
+    bands = np.zeros((4, 2 * n))
     bands[0, 3::2] = e           # H[u_i, v_{i+1}]
     bands[2, 1::2] = d           # H[u_i, v_i]
-    bands[2, 2::2] = f.conj()    # H[v_i, u_{i+1}]
+    bands[2, 2::2] = f           # H[v_i, u_{i+1}]
     return bands
 
 
-def _near_null_vectors(mat: np.ndarray, bands: np.ndarray, raw: int,
-                       tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``raw`` right singular vectors of R under ``tau``, and |R v| of each.
+def _near_null_vectors(d: np.ndarray, e: np.ndarray, f: np.ndarray,
+                       bands: np.ndarray, raw: int, tau: float) -> np.ndarray:
+    """The ``raw`` right singular vectors of the real tridiagonal R under ``tau``.
 
     Block inverse iteration on the dilation H - mu I, mu = 1e-3 tau,
     started from random v-parts.  Each pair of steps multiplies the v-part
@@ -350,22 +397,22 @@ def _near_null_vectors(mat: np.ndarray, bands: np.ndarray, raw: int,
     The shift keeps H - mu I regular when R has an exactly zero singular
     value.
     """
-    n = mat.shape[0]
+    n = len(d)
     m = 2 * n
-    full = np.zeros((7, m), dtype=complex)  # general band storage, 3 + 3 bands
+    full = np.zeros((7, m))  # general band storage, 3 + 3 bands
     full[:4] = bands
     for k in range(1, 4):
-        full[3 + k, : m - k] = bands[3 - k, k:].conj()
+        full[3 + k, : m - k] = bands[3 - k, k:]
     full[3] -= INVERSE_ITERATION_SHIFT * tau
     width = min(raw + INVERSE_ITERATION_EXTRA, n)
     rng = np.random.default_rng(0)
-    block = np.zeros((m, width), dtype=complex)
-    block[1::2] = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    block = np.zeros((m, width))
+    block[1::2] = rng.standard_normal((n, width))
     for _ in range(INVERSE_ITERATION_STEPS):
         block, _ = np.linalg.qr(scipy.linalg.solve_banded((3, 3), full, block))
     basis, _ = np.linalg.qr(block[1::2])
-    _, ritz, wh = np.linalg.svd(mat @ basis, full_matrices=False)
-    return wh[width - raw:].conj() @ basis.T, ritz[width - raw:]
+    _, _, wh = np.linalg.svd(_tridiagonal_product(d, e, f, basis), full_matrices=False)
+    return wh[width - raw:] @ basis.T
 
 
 def kernel_count_svd(operator: TruncatedOperator, rel_tol: float = SVD_REL_TOL,
@@ -383,22 +430,25 @@ def kernel_count_svd(operator: TruncatedOperator, rel_tol: float = SVD_REL_TOL,
     several candidates at rounding level count the same whichever basis
     of their span the solver returns.
 
-    The singular values are the moduli of the eigenvalues of the Hermitian
-    dilation [[0, R], [R*, 0]], which come in +- pairs; interleaved, the
-    dilation has bandwidth 3, so one banded eigensolve (no vectors) costs
-    O(n^2) against the O(n^3) of a dense SVD.  Null vectors are computed
-    only when there are candidates, by banded block inverse iteration on
-    the dilation (``_near_null_vectors``), in the order of a dense SVD.
-    Raises ValueError on a matrix with entries off the three diagonals (a
-    periodic ring's corners), and RuntimeError if a candidate v misses
-    |R v| <= threshold.
+    A diagonal unitary gauge makes R real (``_real_gauge``), and the
+    singular values are the moduli of the eigenvalues of the real
+    symmetric dilation [[0, R'], [R'^T, 0]], which come in +- pairs;
+    interleaved, the dilation has bandwidth 3, so one banded eigensolve
+    (no vectors) costs O(n^2) against the O(n^3) of a dense SVD.  Null
+    vectors are computed only when there are candidates, by banded block
+    inverse iteration on the dilation (``_near_null_vectors``), in the
+    order of a dense SVD, and mapped back out of the gauge.  Raises
+    ValueError on a matrix with entries off the three diagonals (a
+    periodic ring's corners) or one no diagonal gauge makes real, and
+    RuntimeError if a candidate v misses |R v| <= threshold.
     """
     mat = np.asarray(operator.matrix)
     n = mat.shape[0]
     d, e, f = _tridiagonal_bands(mat)
     if np.count_nonzero(mat) != np.count_nonzero(d) + np.count_nonzero(e) + np.count_nonzero(f):
         raise ValueError(f"kernel census needs a tridiagonal block; {operator.role} is not")
-    bands = _dilation_bands(d, e, f)
+    real_d, real_e, real_f, phases = _real_gauge(d, e, f, operator.role)
+    bands = _dilation_bands(real_d, real_e, real_f)
     w = scipy.linalg.eig_banded(bands, eigvals_only=True)
     s = np.sort(np.abs(w))[1::2][::-1]  # one of each +- pair, descending
     smax = float(s[0])
@@ -415,10 +465,11 @@ def kernel_count_svd(operator: TruncatedOperator, rel_tol: float = SVD_REL_TOL,
 
     bulk = np.zeros((0, n), dtype=complex)
     if raw:
-        bulk, residuals = _near_null_vectors(mat, bands, raw, tau)
-        if float(residuals[0]) > tau:
+        bulk = _near_null_vectors(real_d, real_e, real_f, bands, raw, tau) * phases.conjugate()
+        residual = float(np.max(np.linalg.norm(_tridiagonal_product(d, e, f, bulk.T), axis=0)))
+        if residual > tau:
             raise RuntimeError(
-                f"kernel census: a candidate has |R v| = {residuals[0]:.3e} over the "
+                f"kernel census: a candidate has |R v| = {residual:.3e} over the "
                 f"threshold {tau:.3e}"
             )
     if localize and raw:
@@ -516,26 +567,28 @@ def h_epsilon_band_eigensystem(window: LatticeWindow, params: WalkParameters,
                                profile: CoinProfile, sign: int):
     """Eigenvalues and bulk weights of R* R for one rescaled chiral block.
 
-    The block Hamiltonian is pentadiagonal; its bands are assembled
-    directly from the tridiagonal block and solved with a banded
-    eigensolver.  Returns (eigenvalues, bulk_weights) where the weight of
-    an eigenvector is its squared mass on the middle half of the window.
+    In the real gauge of the block (``_real_gauge``), R* R = D* R'^T R' D
+    with R' real tridiagonal, so R'^T R' is a real symmetric pentadiagonal
+    matrix with the same eigenvalues whose eigenvectors differ from those
+    of R* R only by the phases of D.  Its bands are assembled directly
+    from R' and solved with a real banded eigensolver.  Returns
+    (eigenvalues, bulk_weights) where the weight of an eigenvector is its
+    squared mass on the middle half of the window, which the phases leave
+    unchanged.
     """
-    block = build_q_epsilon(window, params, profile, sign).matrix
-    d, e, f = _tridiagonal_bands(block)
+    block = build_q_epsilon(window, params, profile, sign)
+    d, e, f, _ = _real_gauge(*_tridiagonal_bands(block.matrix), block.role)
     n = len(d)
-    h0 = np.abs(d) ** 2
-    h0[1:] += np.abs(e) ** 2
-    h0[:-1] += np.abs(f) ** 2
-    h1 = d.conjugate()[:-1] * e + f.conjugate() * d[1:]
-    h2 = f.conjugate()[:-1] * e[1:]
-    bands = np.zeros((3, n), dtype=complex)
-    bands[0, 2:] = h2
-    bands[1, 1:] = h1
+    h0 = d ** 2
+    h0[1:] += e ** 2
+    h0[:-1] += f ** 2
+    bands = np.zeros((3, n))
+    bands[0, 2:] = f[:-1] * e[1:]
+    bands[1, 1:] = d[:-1] * e + f * d[1:]
     bands[2, :] = h0
     w, v = scipy.linalg.eig_banded(bands, lower=False)
     mask = np.abs(window.sites) <= window.half_width // 2
-    weights = np.sum(np.abs(v[mask, :]) ** 2, axis=0)
+    weights = np.sum(v[mask, :] ** 2, axis=0)
     return w, weights
 
 

@@ -467,13 +467,16 @@ class TestInputErrors:
 
     def test_grid_guard_reads_the_physical_memory(self, capsys, e1_profile_path,
                                                   monkeypatch):
-        rows = ["phase-diagram", "--profile", e1_profile_path, "--p-grid", "0.1:0.3:0.1"]
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * cli.GRID_ROW_BYTES)
-        code, _, _ = run_cli(capsys, *rows)
-        assert code == 0
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * cli.GRID_ROW_BYTES - 1)
-        code, out, err = run_cli(capsys, *rows)
-        assert code == 2 and out == "" and "--p-grid: 3 rows" in err
+        # a row is priced at its measured peak, which depends on the format
+        for fmt, row_bytes in (("csv", 300), ("json", 700)):
+            rows = ["phase-diagram", "--profile", e1_profile_path, "--p-grid", "0.1:0.3:0.1",
+                    "--format", fmt]
+            monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * row_bytes)
+            code, _, _ = run_cli(capsys, *rows)
+            assert code == 0, fmt
+            monkeypatch.setattr(cli, "_physical_memory", lambda: 3 * row_bytes - 1)
+            code, out, err = run_cli(capsys, *rows)
+            assert code == 2 and out == "" and "--p-grid: 3 rows" in err, fmt
 
     @pytest.mark.parametrize("band", ["nan", "inf", "-1"])
     @pytest.mark.parametrize("argv", [["index"], ["phase-diagram", "--p-grid", "0.1:0.3:0.1"]],

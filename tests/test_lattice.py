@@ -1,6 +1,5 @@
 """Finite-window operator truncations and the operator-algebra oracle."""
 
-import csv
 import math
 
 import numpy as np
@@ -9,14 +8,11 @@ import pytest
 from ssqw.lattice import (
     OPEN,
     PERIODIC,
-    RAW,
-    RESCALED,
     LatticeWindow,
     build_coin,
     build_epsilon,
     build_evolution,
     build_gamma,
-    build_h_epsilon,
     build_q_epsilon,
     build_r_epsilon,
     build_supercharge,
@@ -113,12 +109,6 @@ class TestQEpsilonBlock:
         assert mat[i, i + 1] == pytest.approx(1.5 * 1.0, abs=1e-15)
         assert mat[i, i - 1] == pytest.approx(-0.5 * 0.6, abs=1e-15)
 
-    def test_raw_form_is_rescaled_over_minus_two_i(self, e1_params, e1_profile):
-        window = LatticeWindow(6, OPEN)
-        rescaled = build_q_epsilon(window, e1_params, e1_profile, +1, form=RESCALED).matrix
-        raw = build_q_epsilon(window, e1_params, e1_profile, +1, form=RAW).matrix
-        assert np.array_equal(raw, rescaled / (-2j))
-
     @pytest.mark.parametrize("boundary", [PERIODIC, OPEN])
     def test_adjoint_pairing_is_exact(self, boundary):
         rng = np.random.default_rng(11)
@@ -152,20 +142,17 @@ class TestQEpsilonBlock:
             assert np.max(np.abs(mat - np.diag(np.diag(mat)))) == 0.0
 
     def test_h_epsilon_is_gram_matrix_of_block(self, e1_params, e1_profile):
+        # the block Hamiltonian R* R equals -R_flip R, window truncation
+        # included, because R* = -R_flip
         window = LatticeWindow(7, OPEN)
         for sign in (+1, -1):
             r = build_q_epsilon(window, e1_params, e1_profile, sign).matrix
             flip = build_q_epsilon(window, e1_params, e1_profile, -sign).matrix
-            h = build_h_epsilon(window, e1_params, e1_profile, sign).matrix
-            assert np.array_equal(h, r.conj().T @ r)
-            assert np.array_equal(h, -flip @ r)
+            assert np.array_equal(r.conj().T @ r, -flip @ r)
 
     def test_rejects_bad_arguments(self, e1_params, e1_profile):
-        window = LatticeWindow(4)
         with pytest.raises(ValueError, match="sign"):
-            build_q_epsilon(window, e1_params, e1_profile, 0)
-        with pytest.raises(ValueError, match="form"):
-            build_q_epsilon(window, e1_params, e1_profile, +1, form="scaled")
+            build_q_epsilon(LatticeWindow(4), e1_params, e1_profile, 0)
 
 
 def _loop_coin_sequences(window, profile):
@@ -179,7 +166,7 @@ def _loop_coin_sequences(window, profile):
     return a1, a2, b
 
 
-def _loop_q_epsilon(window, params, profile, sign, form):
+def _loop_q_epsilon(window, params, profile, sign):
     """Site-by-site reference for the vectorized build_q_epsilon."""
     n = window.size
 
@@ -200,7 +187,7 @@ def _loop_q_epsilon(window, params, profile, sign, form):
             mat[i, i - 1] = -alpha_coefficient(params, here.b, -sign).conjugate()
         elif window.periodic:
             mat[i, n - 1] = -alpha_coefficient(params, here.b, -sign).conjugate()
-    return mat / (-2j) if form == RAW else mat
+    return mat
 
 
 class TestVectorizedAssembly:
@@ -222,10 +209,9 @@ class TestVectorizedAssembly:
                                  _loop_coin_sequences(window, profile)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
             for sign in (+1, -1):
-                for form in (RAW, RESCALED):
-                    got = build_q_epsilon(window, params, profile, sign, form).matrix
-                    want = _loop_q_epsilon(window, params, profile, sign, form)
-                    assert np.array_equal(got, want), (draw, sign, form)
+                got = build_q_epsilon(window, params, profile, sign).matrix
+                want = _loop_q_epsilon(window, params, profile, sign)
+                assert np.array_equal(got, want), (draw, sign)
 
 
 def _cyclic_tridiagonal_mask(n):
@@ -301,18 +287,51 @@ class TestVerifyAlgebra:
         with pytest.raises(ProfileError, match="periodic"):
             verify_algebra(LatticeWindow(8, OPEN), e1_params, e1_profile)
 
+    def test_sparse_residuals_match_dense_identities(self):
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            half_width = int(rng.integers(1, 13))
+            window = LatticeWindow(half_width)
+            params = random_parameters(rng)
+            base = random_step_profile(rng)
+            sites = rng.choice(np.arange(-half_width, half_width + 1),
+                               size=int(rng.integers(0, 4)), replace=False)
+            profile = CoinProfile(base.left, base.right,
+                                  {int(x): random_coin_entry(rng) for x in sites})
+            got = verify_algebra(window, params, profile).residuals
+            want = _dense_residuals(window, params, profile)
+            assert set(got) == set(want)
+            for key in want:
+                assert abs(got[key] - want[key]) <= 1e-15, (key, got[key], want[key])
 
-class TestCsvDump:
-    def test_round_trip(self, tmp_path, e1_params, e1_profile):
-        op = build_q_epsilon(LatticeWindow(3, OPEN), e1_params, e1_profile, +1)
-        path = tmp_path / "block.csv"
-        op.to_csv(path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0][:4] == ["c0_re", "c0_im", "c1_re", "c1_im"]
-        parsed = np.array([
-            [complex(float(row[2 * j]), float(row[2 * j + 1]))
-             for j in range(op.window.size)]
-            for row in rows[1:]
-        ])
-        assert np.array_equal(parsed, op.matrix)
+
+def _dense_residuals(window, params, profile):
+    """verify_algebra's identities evaluated on the dense operators."""
+    n = window.size
+    eye = np.eye(2 * n)
+    gamma = build_gamma(window, params).matrix
+    coin = build_coin(window, profile).matrix
+    evolution = build_evolution(window, params, profile).matrix
+    q = build_supercharge(window, params, profile).matrix
+    eps = build_epsilon(window, params).matrix
+    conjugated = eps.conj().T @ q @ eps
+    q_plus = build_q_epsilon(window, params, profile, +1).matrix / (-2j)
+    q_minus = build_q_epsilon(window, params, profile, -1).matrix / (-2j)
+
+    def max_abs(mat):
+        return float(np.max(np.abs(mat)))
+
+    return {
+        "gamma_involution": max_abs(gamma @ gamma - eye),
+        "coin_involution": max_abs(coin @ coin - eye),
+        "evolution_definition": max_abs(evolution - gamma @ coin),
+        "supercharge_definition": max_abs(2j * q - (evolution - evolution.conj().T)),
+        "chiral_anticommutation": max_abs(q @ gamma + gamma @ q),
+        "epsilon_unitarity": max_abs(eps.conj().T @ eps - eye),
+        "epsilon_gamma_diagonal": max_abs(eps.conj().T @ gamma @ eps
+                                          - np.diag(np.repeat([1.0, -1.0], n))),
+        "offdiagonal_block_plus": max_abs(conjugated[n:, :n] - q_plus),
+        "offdiagonal_block_minus": max_abs(conjugated[:n, n:] - q_minus),
+        "diagonal_blocks_vanish": max(max_abs(conjugated[:n, :n]),
+                                      max_abs(conjugated[n:, n:])),
+    }

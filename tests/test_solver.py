@@ -296,6 +296,38 @@ class TestBandedCensusAgreesWithDenseSvd:
                 several += count.raw_count > 1
         assert several >= 10
 
+    def test_null_vectors_of_complex_blocks_leave_the_gauge(self):
+        # a complex q and complex coins give every hopping its own phase
+        rng = np.random.default_rng(47)
+        window = LatticeWindow(40, OPEN)
+        checked = 0
+        for _ in range(40):
+            params = random_parameters(rng)
+            profile = random_step_profile(rng)
+            for sign in (+1, -1):
+                operator = build_q_epsilon(window, params, profile, sign)
+                fields, _, bulk = _dense_census(operator)
+                count = kernel_count_svd(operator)
+                assert (count.dimension, count.raw_count, count.boundary_rejected,
+                        count.conclusive) == fields
+                if count.dimension == 1:
+                    assert abs(np.vdot(count.null_vectors[0], bulk[0])) > 1.0 - 1e-9
+                    checked += 1
+        assert checked >= 10
+
+    def test_block_with_only_subdiagonal_hoppings(self):
+        # e_i = 0 everywhere: the gauge takes its phases from the subdiagonal;
+        # the zero on the diagonal starts a null vector decaying to the right
+        rng = np.random.default_rng(59)
+        diagonal = np.ones(31, dtype=complex)
+        diagonal[15] = 0.0
+        sub = 0.5 * np.exp(1j * rng.uniform(-math.pi, math.pi, 30))
+        mat = np.diag(diagonal) + np.diag(sub, -1)
+        count = kernel_count_svd(TruncatedOperator("test", LatticeWindow(15, OPEN), mat))
+        _, _, vh = np.linalg.svd(mat)
+        assert count.dimension == count.raw_count == 1 and count.conclusive
+        assert abs(np.vdot(count.null_vectors[0], vh[-1].conj())) > 1.0 - 1e-9
+
     def test_several_candidates_come_in_dense_order(self):
         # three distinct near-null singular values, well under the threshold
         diagonal = np.ones(31, dtype=complex)
@@ -345,6 +377,16 @@ class TestResultGuards:
         operator = build_q_epsilon(LatticeWindow(20), e1_params, e1_profile, +1)
         with pytest.raises(ValueError, match="tridiagonal"):
             kernel_count_svd(operator)
+
+    @pytest.mark.parametrize("entry, value", [((3, 3), 0.5 + 1e-9j), ((3, 4), 1j)],
+                             ids=["complex-diagonal", "complex-product"])
+    def test_census_rejects_a_block_no_real_gauge_fits(self, e1_params, e1_profile,
+                                                       entry, value):
+        operator = build_q_epsilon(LatticeWindow(10, OPEN), e1_params, e1_profile, +1)
+        mat = operator.matrix.copy()
+        mat[entry] = value
+        with pytest.raises(ValueError, match="real gauge.*q_epsilon_plus"):
+            kernel_count_svd(TruncatedOperator(operator.role, operator.window, mat))
 
     def test_non_unitary_evolution_fails_the_spectrum_guard(self, e1_params, e1_profile,
                                                             monkeypatch):
@@ -415,6 +457,24 @@ class TestBlockSpectrumAgreesWithDenseEigvals:
             _assert_matches_dense_spectrum(window, params, profile)
 
 
+def _assert_matches_dense_eigh(window, params, profile):
+    """Eigenvalues and bulk weights equal those of a dense eigh of R* R.
+
+    Weights are compared summed over clusters of eigenvalues closer than
+    1e-6, because within a degenerate eigenspace they depend on the basis.
+    """
+    mask = np.abs(window.sites) <= window.half_width // 2
+    for sign in (+1, -1):
+        w, weights = h_epsilon_band_eigensystem(window, params, profile, sign)
+        block = build_q_epsilon(window, params, profile, sign).matrix
+        dense_w, dense_v = np.linalg.eigh(block.conj().T @ block)
+        assert np.max(np.abs(w - dense_w)) <= 1e-12 * max(dense_w[-1], 1.0)
+        dense_weights = np.sum(np.abs(dense_v[mask]) ** 2, axis=0)
+        edges = np.flatnonzero(np.diff(dense_w) > 1e-6) + 1
+        for members in np.split(np.arange(len(w)), edges):
+            assert abs(weights[members].sum() - dense_weights[members].sum()) <= 1e-9
+
+
 class TestBandEigensystem:
     def test_matches_dense_solver(self, e1_params, e1_profile):
         window = LatticeWindow(30, OPEN)
@@ -424,6 +484,25 @@ class TestBandEigensystem:
             dense = np.linalg.eigvalsh(block.conj().T @ block)
             assert np.max(np.abs(np.sort(w) - dense)) < 1e-12
             assert np.all(weights >= -1e-12) and np.all(weights <= 1.0 + 1e-12)
+
+    def test_whole_grid_against_dense_eigh(self):
+        window = LatticeWindow(12, OPEN)
+        for params, profile in classification_grid():
+            _assert_matches_dense_eigh(window, params, profile)
+
+    def test_perturbed_profiles_against_dense_eigh(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            half_width = int(rng.integers(1, 30))
+            window = LatticeWindow(half_width, OPEN)
+            params = random_parameters(rng)
+            base = random_step_profile(rng)
+            sites = rng.choice(np.arange(-half_width, half_width + 1),
+                               size=int(rng.integers(0, min(8, 2 * half_width + 2))),
+                               replace=False)
+            profile = CoinProfile(base.left, base.right,
+                                  {int(x): random_coin_entry(rng) for x in sites})
+            _assert_matches_dense_eigh(window, params, profile)
 
 
 class TestTraceIndex:
