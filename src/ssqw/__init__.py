@@ -4,10 +4,11 @@ The walk on l2(Z, C^2) composes an anisotropic shift with a site-dependent
 coin; its supersymmetric structure pairs two chiral blocks whose kernel
 dimensions differ by a homotopy-invariant integer.  This package computes
 that integer in closed form from the two limit coins (``analytic``) and
-checks every formula against finite-lattice numerics: dense operator
-algebra on rings (``lattice``) and SVD kernel censuses, explicit bound
-states, spectrum sampling and heat-trace estimates on open windows
-(``solver``).  ``cli`` exposes the lot as the ``ssqw`` command.
+checks every formula against finite-lattice numerics: sparse operator
+algebra on rings (``lattice``), and banded kernel censuses, explicit
+bound states and heat-trace estimates on open windows and banded
+spectrum sampling on rings (``solver``).  ``cli`` exposes the lot as the
+``ssqw`` command.
 """
 
 from .analytic import (

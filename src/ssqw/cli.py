@@ -6,9 +6,9 @@ over p), ``verify`` (the property suite), ``spectrum``, ``trace`` and
 verification check failed, 2 invalid input.  Output goes to stdout or
 ``--out``; CSV uses a header row, '.' decimals and re/im column pairs
 for complex data.  All randomized behavior is fixed by ``--seed``.  A
-``--window`` whose largest dense matrix, or a ``--p-grid`` whose rows, would
-not fit in physical memory is an input error, found before anything is
-allocated.
+``--window`` whose largest dense matrix (or, for ``spectrum``, whose
+bands), or a ``--p-grid`` whose rows, would not fit in physical memory is
+an input error, found before anything is allocated.
 """
 
 from __future__ import annotations
@@ -61,10 +61,14 @@ class RunConfig:
     inject_beta_sign: bool = False
 
 
-# side of the largest dense complex matrix a command allocates, in units of
-# the window size 2N+1: the chiral blocks and their eigenvectors; verify's
-# algebra check keeps the two-component operators sparse
-DENSE_SIDE_PER_SITE = {"spectrum": 1, "trace": 1, "bound-state": 1, "verify": 1}
+# trace, bound-state and verify allocate a dense complex n x n matrix for a
+# window of n = 2N+1 sites (a chiral block; verify's algebra check keeps the
+# two-component operators sparse)
+DENSE_WINDOW_COMMANDS = ("trace", "bound-state", "verify")
+# spectrum works on bands: peak bytes per site of the whole command, output
+# included, as tracemalloc measured it on gapped rings at N = 512 and 4096
+# (at most 893 a site), rounded up
+SPECTRUM_SITE_BYTES = 1000
 
 
 def _physical_memory() -> int:
@@ -72,16 +76,18 @@ def _physical_memory() -> int:
 
 
 def _require_window_fits(config: RunConfig) -> None:
-    per_site = DENSE_SIDE_PER_SITE.get(config.command)
-    if per_site is None:
+    n = 2 * config.window + 1
+    if config.command == "spectrum":
+        needed, what = SPECTRUM_SITE_BYTES * n, f"{SPECTRUM_SITE_BYTES} bytes for each of {n} sites"
+    elif config.command in DENSE_WINDOW_COMMANDS:
+        needed, what = 16 * n * n, f"a dense {n}x{n} complex matrix"
+    else:
         return  # the command reads no window
-    side = per_site * (2 * config.window + 1)
-    needed = 16 * side * side
     available = _physical_memory()
     if needed > available:
         raise ProfileError(
-            f"--window {config.window}: {config.command} needs a dense {side}x{side} "
-            f"complex matrix ({needed / 2**30:.3g} GiB), more than the "
+            f"--window {config.window}: {config.command} needs {what} "
+            f"({needed / 2**30:.3g} GiB), more than the "
             f"{available / 2**30:.3g} GiB of physical memory"
         )
 

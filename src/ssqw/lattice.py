@@ -162,6 +162,31 @@ def _evolution(window: LatticeWindow, params: WalkParameters,
     return _gamma(window, params) @ _coin(window, profile)
 
 
+def _split_step(window: LatticeWindow, params: WalkParameters,
+                profile: CoinProfile) -> sp.csr_array:
+    """U written entry by entry from the split-step formula, not as a product.
+
+    (U psi)_up(x) = p (a1(x) psi_up(x) + conj(b(x)) psi_down(x))
+                    + q (b(x+1) psi_up(x+1) + a2(x+1) psi_down(x+1)) and
+    (U psi)_down(x) = conj(q) (a1(x-1) psi_up(x-1) + conj(b(x-1)) psi_down(x-1))
+                      - p (b(x) psi_up(x) + a2(x) psi_down(x)), with x+-1 cyclic.
+    Periodic windows only; the check of ``_evolution`` against it.
+    """
+    import scipy.sparse as sp  # see _two_entry_rows
+
+    n = window.size
+    a1, a2, b = coin_sequences(window, profile)
+    x = np.arange(n)
+    ahead, behind = np.roll(x, -1), np.roll(x, 1)
+    p, q = params.p, params.q
+    rows = np.repeat([x, n + x], 4, axis=0).ravel()
+    cols = np.concatenate([x, n + x, ahead, n + ahead, behind, n + behind, x, n + x])
+    vals = np.concatenate([p * a1, p * b.conj(), q * b[ahead], q * a2[ahead],
+                           q.conjugate() * a1[behind], q.conjugate() * b[behind].conj(),
+                           -p * b, -p * a2])
+    return sp.csr_array((vals, (rows, cols)), shape=(2 * n, 2 * n))
+
+
 def _supercharge(window: LatticeWindow, params: WalkParameters,
                  profile: CoinProfile) -> sp.csr_array:
     g = _gamma(window, params)
@@ -203,17 +228,14 @@ def build_epsilon(window: LatticeWindow, params: WalkParameters) -> TruncatedOpe
     return TruncatedOperator("epsilon", window, _epsilon(window, params).toarray())
 
 
-def build_q_epsilon(window: LatticeWindow, params: WalkParameters,
-                    profile: CoinProfile, sign: int) -> TruncatedOperator:
-    """One chiral block of the supercharge as a tridiagonal window matrix.
+def _chiral_bands(window: LatticeWindow, params: WalkParameters,
+                  profile: CoinProfile, sign: int):
+    """Bands (d, e, f) of one rescaled chiral block, as ``build_q_epsilon`` fills it.
 
-    Row x carries alpha_s(x+1) on the superdiagonal, -conj(alpha_{-s}(x))
-    on the subdiagonal and s beta(x) on the diagonal, with
-    beta(x) = |q| (a2(x+1) - a1(x)).  Periodic windows evaluate x+1
-    cyclically; open windows drop the end couplings but keep the true
-    beta, so the matrix is the finite section of the half-infinite one.
-    The block is rescaled: -2i times the matching block of the supercharge
-    in the chiral basis (``chiral_supercharge``).
+    Row x holds d[x] on the diagonal, e[x] at (x, x+1) and f[x] at
+    (x+1, x), with x+1 evaluated cyclically: e[-1] and f[-1] are the ring
+    corners, zero on open windows, which drop the couplings across their
+    ends.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -230,22 +252,41 @@ def build_q_epsilon(window: LatticeWindow, params: WalkParameters,
     a2 = np.array([e.a2 for e in table])
     upper = np.array([alpha_coefficient(params, e.b, sign) for e in table])
     lower = np.array([-alpha_coefficient(params, e.b, -sign).conjugate() for e in table])
+    d = sign * params.abs_q * (a2[nxt] - a1[here])
+    e = upper[nxt]
+    f = lower[np.roll(here, -1)]
+    if not window.periodic:
+        e[-1] = f[-1] = 0.0
+    return d, e, f
 
-    rows = np.arange(n)
-    mat = np.zeros((n, n), dtype=complex)
-    mat[rows, rows] = sign * params.abs_q * (a2[nxt] - a1[here])
-    mat[rows[:-1], rows[1:]] = upper[nxt[:-1]]
-    mat[rows[1:], rows[:-1]] = lower[here[1:]]
-    if window.periodic:
-        mat[n - 1, 0] = upper[nxt[-1]]
-        mat[0, n - 1] = lower[here[0]]
+
+def build_q_epsilon(window: LatticeWindow, params: WalkParameters,
+                    profile: CoinProfile, sign: int) -> TruncatedOperator:
+    """One chiral block of the supercharge as a tridiagonal window matrix.
+
+    Row x carries alpha_s(x+1) on the superdiagonal, -conj(alpha_{-s}(x))
+    on the subdiagonal and s beta(x) on the diagonal, with
+    beta(x) = |q| (a2(x+1) - a1(x)).  Periodic windows evaluate x+1
+    cyclically; open windows drop the end couplings but keep the true
+    beta, so the matrix is the finite section of the half-infinite one.
+    The block is rescaled: -2i times the matching block of the supercharge
+    in the chiral basis (``chiral_supercharge``).
+    """
+    d, e, f = _chiral_bands(window, params, profile, sign)
+    rows = np.arange(window.size)
+    ahead = np.roll(rows, -1)
+    mat = np.zeros((window.size, window.size), dtype=complex)
+    mat[rows, rows] = d
+    mat[rows, ahead] = e
+    mat[ahead, rows] = f
     label = "plus" if sign == 1 else "minus"
     return TruncatedOperator(f"q_epsilon_{label}", window, mat)
 
 
 def build_r_epsilon(window: LatticeWindow, params: WalkParameters,
-                    profile: CoinProfile, sign: int) -> TruncatedOperator:
-    """One diagonal block of the real part (U + U*) / 2 in the chiral basis.
+                    profile: CoinProfile, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic bands of one diagonal block of the real part (U + U*) / 2
+    in the chiral basis.
 
     The chiral basis diagonalizes gamma to diag(1, -1), so the real part
     (gamma C + C gamma) / 2 is block diagonal, diag(R_plus, R_minus), with
@@ -254,26 +295,19 @@ def build_r_epsilon(window: LatticeWindow, params: WalkParameters,
     ((1+p) a1(x) + (1-p) a2(x+1)) / 2, that of R_minus is
     -((1-p) a1(x) + (1+p) a2(x+1)) / 2, and both carry
     q b(x+1) / 2 = |q| e^{i theta} b(x+1) / 2 at (x, x+1) and its conjugate
-    at (x+1, x), with x+1 evaluated cyclically.  Periodic windows only,
-    like the basis rotation itself.
+    at (x+1, x), with x+1 evaluated cyclically.  Returns the real diagonal
+    and the hops, R[x, x+1] = hop[x] (so hop[-1] is the ring corner
+    R[N, -N]).  Periodic windows only, like the basis rotation itself.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not window.periodic:
         raise ProfileError("the chiral rotation is built on periodic windows only")
-    n = window.size
     a1, a2, b = coin_sequences(window, profile)
     p = sign * params.p
     diagonal = sign * ((1.0 + p) * a1 + (1.0 - p) * np.roll(a2, -1)) / 2.0
     hop = params.q * np.roll(b, -1) / 2.0
-    rows = np.arange(n)
-    ahead = np.roll(rows, -1)
-    mat = np.zeros((n, n), dtype=complex)
-    mat[rows, rows] = diagonal
-    mat[rows, ahead] = hop
-    mat[ahead, rows] = hop.conj()
-    label = "plus" if sign == 1 else "minus"
-    return TruncatedOperator(f"r_epsilon_{label}", window, mat)
+    return diagonal, hop
 
 
 def chiral_supercharge(window: LatticeWindow, params: WalkParameters,
@@ -310,7 +344,8 @@ def verify_algebra(window: LatticeWindow, params: WalkParameters,
                    profile: CoinProfile, threshold: float = 1e-11) -> AlgebraReport:
     """Max-norm residuals of the defining operator identities.
 
-    Periodic windows only.  Checks the involution laws, the supercharge
+    Periodic windows only.  Checks the involution laws, the walk against
+    its entries written site by site (``_split_step``), the supercharge
     definitions, the chiral anticommutation, unitarity of the basis
     rotation, and that conjugating the supercharge by it produces exactly
     the two off-diagonal tridiagonal blocks (with vanishing diagonal
@@ -337,7 +372,7 @@ def verify_algebra(window: LatticeWindow, params: WalkParameters,
     residuals = {
         "gamma_involution": _max_abs(gamma @ gamma - eye),
         "coin_involution": _max_abs(coin @ coin - eye),
-        "evolution_definition": _max_abs(evolution - gamma @ coin),
+        "evolution_definition": _max_abs(evolution - _split_step(window, params, profile)),
         "supercharge_definition": _max_abs(2j * q - (evolution - evolution.conj().T)),
         "chiral_anticommutation": _max_abs(q @ gamma + gamma @ q),
         "epsilon_unitarity": _max_abs(eps_adj @ eps - eye),

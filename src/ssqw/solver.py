@@ -13,11 +13,12 @@ bands: the census takes singular values from a banded eigensolve of the
 real symmetric dilation [[0, R], [R^T, 0]] and null vectors from banded
 inverse iteration, never a dense SVD; the heat trace solves the
 pentadiagonal R^T R.  A block the gauge cannot make real is rejected, not
-solved by another route.  The spectrum does not build the walk: two
-half-size Hermitian eigensolves of the blocks of Re U in the chiral
-basis give Re z, and the chiral blocks of the supercharge applied to
-their eigenvectors give Im z.  The ring blocks of Re U carry a flux
-that no gauge removes, so they stay complex.  Checks on a result
+solved by another route.  The spectrum does not build the walk either:
+the blocks of Re U in the chiral basis are cyclic tridiagonal rings,
+pentadiagonal once unfolded, and two Hermitian banded eigensolves without
+vectors give Re z; R^2 + Q* Q = 1 gives Im z, with eigenvectors from
+banded inverse iteration only next to +-1.  The rings carry a flux that
+no gauge removes, so they stay complex.  Checks on a result
 (unit-circle and decay conditions, census thresholds) raise exceptions
 rather than assert, so they hold under ``python -O`` too.
 """
@@ -52,6 +53,7 @@ from .lattice import (
     OPEN,
     LatticeWindow,
     TruncatedOperator,
+    _chiral_bands,
     build_q_epsilon,
     build_r_epsilon,
 )
@@ -268,8 +270,9 @@ def bound_state_residual(state: BoundState, params: WalkParameters,
                          profile: CoinProfile) -> float:
     """Relative recursion residual of the sampled vector on an open window."""
     window = LatticeWindow(state.window.half_width, OPEN)
-    block = build_q_epsilon(window, params, profile, state.sign).matrix
-    return float(np.linalg.norm(block @ state.amplitudes) / np.linalg.norm(state.amplitudes))
+    d, e, f = _chiral_bands(window, params, profile, state.sign)
+    image = _tridiagonal_product(d, e[:-1], f[:-1], state.amplitudes[:, None])
+    return float(np.linalg.norm(image) / np.linalg.norm(state.amplitudes))
 
 
 def fit_decay_rates(state: BoundState) -> tuple[float, float]:
@@ -508,26 +511,105 @@ def kernel_counts(params: WalkParameters, profile: CoinProfile,
     )
 
 
-CLUSTER_WIDTH = 1e-6  # eigenvalues of R closer than this share a Rayleigh-Ritz step
+NEAR_UNIT = 1e-3  # eigenvalues of R this close to +-1 span the inverse-iteration block
+FORMULA_UNIT = 1e-5  # this close to +-1, |Q v| replaces sqrt((1 - lambda)(1 + lambda))
+SPECTRUM_ITERATION_STEPS = 6  # three already reach the converged plateau (tests)
+UNIT_CIRCLE_TOL = 1e-10
 
 
-def _block_imaginary_parts(lam: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """|Im z| of the walk eigenvalues that continue the eigenvalues ``lam`` of R.
+def _cyclic_product(d: np.ndarray, e: np.ndarray, f: np.ndarray,
+                    x: np.ndarray) -> np.ndarray:
+    """T x for the cyclic tridiagonal T with T[i, i] = d[i], T[i, i+1] = e[i]
+    and T[i+1, i] = f[i], indices mod n."""
+    return (d[:, None] * x + e[:, None] * np.roll(x, -1, axis=0)
+            + np.roll(f[:, None] * x, 1, axis=0))
 
-    ``images`` holds Q v for the eigenvectors v of R, column by column.
-    An isolated eigenvalue takes |Q v|.  Within a cluster of eigenvalues
-    closer than CLUSTER_WIDTH the solver's basis is arbitrary, and column
-    norms mix the cluster's modes; the singular values of Q V_cluster are
-    the Rayleigh-Ritz values of |Q| on its span instead.  Because
-    R^2 + Q* Q = 1, the largest goes with the smallest |lambda|.
+
+def _unfolded_bands(diagonal: np.ndarray, hop: np.ndarray):
+    """The ring R in the order 0, n-1, 1, n-2, ..., as upper band storage.
+
+    R is Hermitian cyclic tridiagonal: R[x, x] = diagonal[x],
+    R[x, x+1] = hop[x] and R[x+1, x] = conj(hop[x]), x+1 cyclic.  In the
+    unfolded order every pair of ring neighbours sits one or two places
+    apart, so the permuted matrix A[a, b] = R[order[a], order[b]] is
+    pentadiagonal, stored as bands[2 + a - b, b] = A[a, b] for a <= b.
+    Returns (order, bands).
     """
-    sigma = np.linalg.norm(images, axis=0)
-    edges = np.flatnonzero(np.diff(lam) > CLUSTER_WIDTH) + 1
-    for members in np.split(np.arange(len(lam)), edges):
-        if len(members) > 1:
-            ritz = np.linalg.svd(images[:, members], compute_uv=False)
-            sigma[members[np.argsort(np.abs(lam[members]), kind="stable")]] = ritz
-    return sigma
+    n = len(diagonal)
+    order = np.empty(n, dtype=int)
+    order[0::2] = np.arange((n + 1) // 2)
+    order[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    place = np.empty(n, dtype=int)
+    place[order] = np.arange(n)
+    here, ahead = place, np.roll(place, -1)
+    bands = np.zeros((3, n), dtype=complex)
+    bands[2] = diagonal[order]
+    bands[2 - np.abs(here - ahead), np.maximum(here, ahead)] = np.where(
+        here < ahead, hop, hop.conj())
+    return order, bands
+
+
+def _band_identity_defect(diagonal: np.ndarray, hop: np.ndarray,
+                          chiral: tuple) -> float:
+    """Max-norm of R^2 + Q* Q - 1 from the cyclic bands of R and Q, in O(n).
+
+    A cyclic band matrix is held as {offset mod n: entries}, entry i of
+    offset k sitting at (i, i+k); on rings of three or four sites offsets
+    that meet mod n add up, as in the matrix itself.
+    """
+    n = len(diagonal)
+
+    def product(a: dict, b: dict) -> dict:
+        out = {}
+        for k, x in a.items():
+            for m, y in b.items():
+                key = (k + m) % n
+                out[key] = out.get(key, 0) + x * np.roll(y, -k)
+        return out
+
+    d, e, f = chiral
+    r = {0: diagonal, 1: hop, n - 1: np.roll(hop.conj(), 1)}
+    q = {0: d, 1: e, n - 1: np.roll(f, 1)}
+    q_adj = {(-k) % n: np.roll(v.conj(), k) for k, v in q.items()}
+    defect = product(r, r)
+    for k, v in product(q_adj, q).items():
+        defect[k] = defect[k] + v
+    defect[0] = defect[0] - 1.0
+    return float(max(np.max(np.abs(v)) for v in defect.values()))
+
+
+def _near_unit_parts(count: int, side: int, order: np.ndarray, bands: np.ndarray,
+                     ring: tuple, chiral: tuple) -> np.ndarray:
+    """|Im z| = |Q v| for the ``count`` eigenvalues of R within NEAR_UNIT of
+    ``side`` (+1 or -1), farthest from ``side`` first.
+
+    Block inverse iteration with the unfolded ring (``_unfolded_bands``)
+    shifted just beyond ``side``, so that the matrix is definite, runs on
+    INVERSE_ITERATION_EXTRA columns beyond them; a Rayleigh-Ritz step on R
+    picks their Ritz vectors V.  Because R^2 + Q* Q = 1, the singular
+    values of Q V, the Rayleigh-Ritz values of |Q| on that span, are the
+    |Im z| in decreasing order, whatever basis of a degenerate eigenspace
+    the iteration settles on.  For modes within FORMULA_UNIT of ``side``
+    each step shrinks what lies outside the block by FORMULA_UNIT /
+    NEAR_UNIT or more; the others may converge slowly and only serve to
+    span the block.  ``ring`` and ``chiral`` are the cyclic bands of R
+    and Q for ``_cyclic_product``.
+    """
+    n = bands.shape[1]
+    full = np.zeros((5, n), dtype=complex)  # general band storage, 2 + 2 bands
+    full[:3] = bands
+    for k in (1, 2):
+        full[2 + k, : n - k] = bands[2 - k, k:].conj()
+    full[2] -= side * (1.0 + INVERSE_ITERATION_SHIFT * FORMULA_UNIT)
+    width = min(count + INVERSE_ITERATION_EXTRA, n)
+    block = np.random.default_rng(0).standard_normal((n, width)).astype(complex)
+    for _ in range(SPECTRUM_ITERATION_STEPS):
+        block, _ = np.linalg.qr(scipy.linalg.solve_banded((2, 2), full, block))
+    basis = np.empty_like(block)
+    basis[order] = block
+    ritz, mix = np.linalg.eigh(basis.conj().T @ _cyclic_product(*ring, basis))
+    vectors = basis @ mix[:, np.argsort(side * ritz)[width - count:]]
+    return np.linalg.svd(_cyclic_product(*chiral, vectors), compute_uv=False)
 
 
 def sample_spectrum(window: LatticeWindow, params: WalkParameters,
@@ -537,29 +619,54 @@ def sample_spectrum(window: LatticeWindow, params: WalkParameters,
     The walk is never built.  In the chiral basis U = diag(R_plus,
     R_minus) + i [[0, Q_minus], [Q_plus, 0]], with R_s the Hermitian
     cyclic tridiagonal blocks of the real part (``build_r_epsilon``) and
-    Q_s the raw chiral blocks of the supercharge.  Only |Q_s v| enters,
-    and the rescaled block of ``build_q_epsilon`` is -2i Q_s, so half of
-    it serves.  U is normal, so Q_plus maps an eigenvector v of R_plus
-    with eigenvalue lambda to one of R_minus with the same eigenvalue,
-    and the pair spans the eigenvalues lambda +- i |Q_plus v|.  Two
-    half-size Hermitian eigensolves with vectors therefore give the whole
-    spectrum: lambda + i |Q_plus v| from R_plus and lambda - i |Q_minus v|
-    from R_minus, +-1 included (``_block_imaginary_parts`` resolves
-    clusters).  Since lambda and |Q v| come from independent solves, the
-    unit-circle guard checks R_s^2 + Q_s* Q_s = 1 mode by mode; it raises
-    RuntimeError past 1e-10.
+    Q_s the raw chiral blocks of the supercharge, -1/2i times the bands
+    of ``build_q_epsilon``.  U is normal, so Q_plus maps an eigenvector v
+    of R_plus with eigenvalue lambda to one of R_minus with the same
+    eigenvalue, and the pair spans the eigenvalues lambda +- i |Q_plus v|:
+    lambda + i |Q_plus v| from R_plus and lambda - i |Q_minus v| from
+    R_minus give the whole spectrum, +-1 included.
+
+    Everything runs on bands.  Reordered as 0, n-1, 1, n-2, ... each
+    ring R_s is pentadiagonal (``_unfolded_bands``), and one Hermitian
+    banded eigensolve without vectors gives Re z = lambda in O(n^2).
+    Since R_s^2 + Q_s* Q_s = 1, |Im z| = sqrt((1 - lambda)(1 + lambda)).
+    An error e in lambda moves that by about e / |Im z|, so within
+    FORMULA_UNIT of +-1, where |Im z| < 0.0045, |Q_s v| from eigenvectors
+    replaces it; one block inverse iteration per end of the spectrum, over
+    the modes within NEAR_UNIT of it, supplies them (``_near_unit_parts``).
+    The banded eigenvalues are good to a few 1e-15 at n = 257 but to a few
+    1e-14 at n = 1025 next to a closing gap, so there the formula modes
+    just beyond FORMULA_UNIT carry up to about 5e-12 in Im z.  The
+    unit-circle guard checks R_s^2 + Q_s* Q_s = 1 on the bands and
+    | |z| - 1 | on the modes that got vectors; it raises RuntimeError past
+    UNIT_CIRCLE_TOL.
     """
     if not window.periodic:
         raise ProfileError("spectrum sampling needs a periodic window (exact unitarity)")
     parts = []
     for sign in (+1, -1):
-        lam, vectors = np.linalg.eigh(build_r_epsilon(window, params, profile, sign).matrix)
-        chiral = build_q_epsilon(window, params, profile, sign).matrix / 2.0
-        parts.append(lam + sign * 1j * _block_imaginary_parts(lam, chiral @ vectors))
+        diagonal, hop = build_r_epsilon(window, params, profile, sign)
+        chiral = tuple(band / 2.0 for band in _chiral_bands(window, params, profile, sign))
+        defect = _band_identity_defect(diagonal, hop, chiral)
+        if not defect < UNIT_CIRCLE_TOL:
+            raise RuntimeError(f"R^2 + Q*Q misses the identity by {defect:.3e}: the walk "
+                               f"leaves the unit circle")
+        order, bands = _unfolded_bands(diagonal, hop)
+        lam = scipy.linalg.eig_banded(bands, eigvals_only=True)
+        sigma = np.sqrt(np.maximum((1.0 - lam) * (1.0 + lam), 0.0))
+        for side in (+1, -1):
+            near = np.flatnonzero(side * lam > 1.0 - NEAR_UNIT)[::side]  # farthest first
+            if not len(near):
+                continue
+            vector_sigma = _near_unit_parts(len(near), side, order, bands,
+                                            (diagonal, hop, hop.conj()), chiral)
+            tight = near[side * lam[near] > 1.0 - FORMULA_UNIT]
+            sigma[tight] = vector_sigma[len(near) - len(tight):]
+            defect = float(np.max(np.abs(np.hypot(lam[tight], sigma[tight]) - 1.0), initial=0.0))
+            if not defect < UNIT_CIRCLE_TOL:
+                raise RuntimeError(f"walk eigenvalues leave the unit circle by {defect:.3e}")
+        parts.append(lam + sign * 1j * sigma)
     eigs = np.concatenate(parts)
-    defect = float(np.max(np.abs(np.abs(eigs) - 1.0)))
-    if not defect < 1e-10:
-        raise RuntimeError(f"walk eigenvalues leave the unit circle by {defect:.3e}")
     return eigs[np.argsort(np.angle(eigs))]
 
 

@@ -6,9 +6,10 @@ before asserting, so a full run with ``pytest tests/test_acceptance.py
 singular-value censuses of both chiral blocks at half-width 400 for
 every grid point) and the heat-trace test take about a minute each.
 The spectrum test samples five rings at half-width 512 by
-``sample_spectrum``, which never forms the walk: two half-size Hermitian
-eigensolves of the blocks of Re U in the chiral basis give Re z, and the
-chiral blocks of the supercharge give Im z; it takes about ten seconds.
+``sample_spectrum``, which never forms the walk: two Hermitian banded
+eigensolves of the unfolded ring blocks of Re U in the chiral basis give
+Re z, and R^2 + Q* Q = 1 gives Im z, with eigenvectors only next to +-1;
+it takes about half a second.
 Everything else is seconds.
 """
 

@@ -511,15 +511,14 @@ class TestInputErrors:
 
     def test_window_guard_reads_the_physical_memory(self, capsys, e1_profile_path,
                                                     monkeypatch):
-        # a 41x41 complex block takes 26896 bytes
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 26896)
-        code, _, _ = run_cli(capsys, "spectrum", "--profile", e1_profile_path,
-                             "--window", "20")
-        assert code == 0
-        monkeypatch.setattr(cli, "_physical_memory", lambda: 26895)
-        code, _, err = run_cli(capsys, "spectrum", "--profile", e1_profile_path,
-                               "--window", "20")
-        assert code == 2 and "--window 20" in err
+        # spectrum works on bands and is priced per site: 41 of them at --window 20
+        _assert_window_price(capsys, monkeypatch, 41 * cli.SPECTRUM_SITE_BYTES,
+                             "spectrum", "--profile", e1_profile_path)
+
+    def test_window_guard_prices_a_dense_block(self, capsys, e1_profile_path, monkeypatch):
+        # trace still allocates a dense 41x41 complex block at --window 20
+        _assert_window_price(capsys, monkeypatch, 16 * 41 * 41,
+                             "trace", "--boundary", "open", "--profile", e1_profile_path)
 
     @pytest.mark.parametrize("argv", [["index"], ["phase-diagram", "--p-grid", "0.1:0.3:0.1"]],
                              ids=["index", "phase-diagram"])
@@ -532,6 +531,16 @@ class TestInputErrors:
         code = cli.main(["index", "--profile", e1_profile_path, "--bogus"])
         capsys.readouterr()
         assert code == 2
+
+
+def _assert_window_price(capsys, monkeypatch, price, *argv):
+    """At --window 20 the command runs with ``price`` bytes of memory, not one less."""
+    monkeypatch.setattr(cli, "_physical_memory", lambda: price)
+    code, _, _ = run_cli(capsys, *argv, "--window", "20")
+    assert code == 0
+    monkeypatch.setattr(cli, "_physical_memory", lambda: price - 1)
+    code, _, err = run_cli(capsys, *argv, "--window", "20")
+    assert code == 2 and "--window 20" in err
 
 
 class TestConsoleScript:

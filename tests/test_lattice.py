@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ssqw import lattice
 from ssqw.lattice import (
     OPEN,
     PERIODIC,
@@ -27,7 +28,7 @@ from ssqw.model import (
     validate_parameters,
 )
 from ssqw.analytic import alpha_coefficient
-from ssqw.solver import random_coin_entry, random_parameters, random_step_profile
+from ssqw.solver import _unfolded_bands, random_coin_entry, random_parameters, random_step_profile
 
 DIAGONAL_PROFILE = CoinProfile(LimitCoin(1.0, -1.0, 0j), LimitCoin(-1.0, 1.0, 0j))
 
@@ -214,11 +215,16 @@ class TestVectorizedAssembly:
                 assert np.array_equal(got, want), (draw, sign)
 
 
-def _cyclic_tridiagonal_mask(n):
+def _dense_ring(diagonal, hop):
+    """The Hermitian cyclic tridiagonal block with these bands: hop[x] at
+    (x, x+1) and its conjugate at (x+1, x), x+1 cyclic."""
+    n = len(diagonal)
     rows = np.arange(n)
-    mask = np.zeros((n, n), dtype=bool)
-    mask[rows, rows] = mask[rows, (rows + 1) % n] = mask[(rows + 1) % n, rows] = True
-    return mask
+    ahead = (rows + 1) % n
+    mat = np.diag(diagonal).astype(complex)
+    mat[rows, ahead] = hop
+    mat[ahead, rows] = hop.conj()
+    return mat
 
 
 class TestRealPartBlocks:
@@ -237,14 +243,36 @@ class TestRealPartBlocks:
             u = build_evolution(window, params, profile).matrix
             eps = build_epsilon(window, params).matrix
             real_part = eps.conj().T @ ((u + u.conj().T) / 2) @ eps
-            r_plus = build_r_epsilon(window, params, profile, +1).matrix
-            r_minus = build_r_epsilon(window, params, profile, -1).matrix
+            blocks = [build_r_epsilon(window, params, profile, sign) for sign in (+1, -1)]
+            for diagonal, hop in blocks:
+                assert diagonal.dtype == float and diagonal.shape == hop.shape == (n,)
+            r_plus, r_minus = (_dense_ring(diagonal, hop) for diagonal, hop in blocks)
             zero = np.zeros((n, n))
             expected = np.block([[r_plus, zero], [zero, r_minus]])
             assert np.max(np.abs(real_part - expected)) < 1e-14
-            for block in (r_plus, r_minus):
-                assert np.array_equal(block, block.conj().T)
-                assert not np.any(block[~_cyclic_tridiagonal_mask(n)])
+
+    @pytest.mark.parametrize("half_width", [1, 2, 17])
+    def test_unfolded_band_storage_is_the_permuted_ring(self, half_width):
+        rng = np.random.default_rng(67 + half_width)
+        window = LatticeWindow(half_width)
+        params = random_parameters(rng)
+        base = random_step_profile(rng)
+        sites = rng.choice(window.sites, size=min(3, window.size), replace=False)
+        profile = CoinProfile(base.left, base.right,
+                              {int(x): random_coin_entry(rng) for x in sites})
+        for sign in (+1, -1):
+            diagonal, hop = build_r_epsilon(window, params, profile, sign)
+            order, bands = _unfolded_bands(diagonal, hop)
+            assert sorted(order) == list(range(window.size))
+            permuted = _dense_ring(diagonal, hop)[np.ix_(order, order)]
+            n = window.size
+            unpacked = np.zeros((n, n), dtype=complex)
+            for offset in range(3):
+                cols = np.arange(offset, n)
+                unpacked[cols - offset, cols] = bands[2 - offset, offset:]
+            upper = np.triu(unpacked, 1)
+            assert np.array_equal(np.diag(np.diag(unpacked)) + upper + upper.conj().T, permuted)
+            assert not np.any(bands[0, :2]) and bands[1, 0] == 0
 
     def test_rejects_bad_arguments(self, e1_params, e1_profile):
         with pytest.raises(ProfileError, match="periodic"):
@@ -278,6 +306,35 @@ class TestVerifyAlgebra:
             "diagonal_blocks_vanish",
         }
 
+    def test_a_wrong_walk_entry_fails_the_evolution_definition(self, e1_params, e1_profile,
+                                                               monkeypatch):
+        window = LatticeWindow(8)
+        honest = lattice._evolution
+
+        def mutated(*args):
+            u = honest(*args).tolil()
+            u[3, 4] += 1e-6
+            return u.tocsr()
+
+        monkeypatch.setattr(lattice, "_evolution", mutated)
+        report = verify_algebra(window, e1_params, e1_profile)
+        assert report.residuals["evolution_definition"] == pytest.approx(1e-6, rel=1e-6)
+        assert not report.passed
+
+    def test_a_wrong_shift_entry_fails_the_evolution_definition(self, e1_params, e1_profile,
+                                                                monkeypatch):
+        # the walk and gamma @ coin share the wrong factor; the site formula does not
+        honest = lattice._gamma
+
+        def mutated(*args):
+            g = honest(*args).tolil()
+            g[2, 2] += 1e-6
+            return g.tocsr()
+
+        monkeypatch.setattr(lattice, "_gamma", mutated)
+        report = verify_algebra(LatticeWindow(8), e1_params, e1_profile)
+        assert report.residuals["evolution_definition"] > report.threshold
+
     def test_diagonal_profile_anticommutator_vanishes(self, e1_params):
         report = verify_algebra(LatticeWindow(12), e1_params, DIAGONAL_PROFILE)
         assert report.residuals["chiral_anticommutation"] < 1e-14
@@ -305,6 +362,23 @@ class TestVerifyAlgebra:
                 assert abs(got[key] - want[key]) <= 1e-15, (key, got[key], want[key])
 
 
+def _loop_split_step(window, params, profile):
+    """Site-by-site dense U from the split-step formula, with x+-1 cyclic."""
+    n = window.size
+    a1, a2, b = _loop_coin_sequences(window, profile)
+    p, q = params.p, params.q
+    u = np.zeros((2 * n, 2 * n), dtype=complex)
+    for x in range(n):
+        up, down = x, n + x
+        nxt, prv = (x + 1) % n, (x - 1) % n
+        u[up, x], u[up, n + x] = p * a1[x], p * b[x].conjugate()
+        u[up, nxt], u[up, n + nxt] = q * b[nxt], q * a2[nxt]
+        u[down, prv] = q.conjugate() * a1[prv]
+        u[down, n + prv] = q.conjugate() * b[prv].conjugate()
+        u[down, x], u[down, n + x] = -p * b[x], -p * a2[x]
+    return u
+
+
 def _dense_residuals(window, params, profile):
     """verify_algebra's identities evaluated on the dense operators."""
     n = window.size
@@ -324,7 +398,7 @@ def _dense_residuals(window, params, profile):
     return {
         "gamma_involution": max_abs(gamma @ gamma - eye),
         "coin_involution": max_abs(coin @ coin - eye),
-        "evolution_definition": max_abs(evolution - gamma @ coin),
+        "evolution_definition": max_abs(evolution - _loop_split_step(window, params, profile)),
         "supercharge_definition": max_abs(2j * q - (evolution - evolution.conj().T)),
         "chiral_anticommutation": max_abs(q @ gamma + gamma @ q),
         "epsilon_unitarity": max_abs(eps.conj().T @ eps - eye),

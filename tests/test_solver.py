@@ -169,6 +169,26 @@ class TestBoundStates:
         assert mags[0] == 0.0 and mags[-1] == 0.0  # |z|^2000 underflows
         assert bound_state_residual(state, e1_params, e1_profile) < 1e-12
 
+    def test_residual_matches_the_dense_block_matvec(self, e1_params, e1_profile):
+        rng = np.random.default_rng(61)
+        cases = [(e1_params, e1_profile)]
+        cases += [(random_parameters(rng), random_step_profile(rng)) for _ in range(20)]
+        window = LatticeWindow(60, OPEN)
+        checked = 0
+        for params, profile in cases:
+            if not ssqw.is_fredholm(params, profile)[0]:
+                continue
+            for sign in (+1, -1):
+                state = construct_bound_state(params, profile, sign, window)
+                if state is None:
+                    continue
+                block = build_q_epsilon(window, params, profile, sign).matrix
+                want = np.linalg.norm(block @ state.amplitudes) / np.linalg.norm(state.amplitudes)
+                # both are relative to |psi| = 1, so they differ by rounding only
+                assert abs(bound_state_residual(state, params, profile) - want) <= 1e-15
+                checked += 1
+        assert checked >= 10
+
     def test_type_one_wall_delta(self, e1_params):
         window = LatticeWindow(20, OPEN)
         for sign in (+1, -1):
@@ -393,12 +413,35 @@ class TestResultGuards:
         honest = ssqw.lattice.build_r_epsilon
 
         def inflated(*args):
-            op = honest(*args)
-            return TruncatedOperator(op.role, op.window, 1.001 * op.matrix)
+            diagonal, hop = honest(*args)
+            return 1.001 * diagonal, 1.001 * hop
 
         monkeypatch.setattr(ssqw.solver, "build_r_epsilon", inflated)
         with pytest.raises(RuntimeError, match="unit circle"):
             sample_spectrum(LatticeWindow(10), e1_params, e1_profile)
+
+    def test_inflated_chiral_band_fails_the_spectrum_guard(self, e1_params, e1_profile,
+                                                           monkeypatch):
+        honest = ssqw.lattice._chiral_bands
+
+        def inflated(*args):
+            d, e, f = honest(*args)
+            return d, 1.001 * e, f
+
+        monkeypatch.setattr(ssqw.solver, "_chiral_bands", inflated)
+        with pytest.raises(RuntimeError, match="unit circle"):
+            sample_spectrum(LatticeWindow(10), e1_params, e1_profile)
+
+    def test_unconverged_vectors_fail_the_spectrum_guard(self, monkeypatch):
+        # a solve that returns its right-hand side leaves random vectors for
+        # the modes at +-1 that the walls between diagonal coins pin there
+        params = validate_parameters(0.3, math.sqrt(0.91))
+        profile = CoinProfile(_coin(0.2), _coin(0.2), {0: ssqw.CoinEntry(1.0, -1.0, 0j),
+                                                       1: ssqw.CoinEntry(-1.0, 1.0, 0j)})
+        sample_spectrum(LatticeWindow(10), params, profile)
+        monkeypatch.setattr(scipy.linalg, "solve_banded", lambda lu, ab, rhs: rhs)
+        with pytest.raises(RuntimeError, match="unit circle"):
+            sample_spectrum(LatticeWindow(10), params, profile)
 
 
 class TestSpectrum:
@@ -455,6 +498,33 @@ class TestBlockSpectrumAgreesWithDenseEigvals:
             profile = CoinProfile(base.left, base.right,
                                   {int(x): random_coin_entry(rng, 0.5) for x in sites})
             _assert_matches_dense_spectrum(window, params, profile)
+
+
+class TestNearUnitVectors:
+    def test_near_unit_vectors_converge(self, monkeypatch):
+        # the iteration count in use sits on the converged plateau: tripling
+        # it moves no eigenvalue by more than the dense agreement bound, on the
+        # profiles whose walls pin modes at +-1
+        rng = np.random.default_rng(3)
+        cases = []
+        for _ in range(100):
+            half_width = int(rng.integers(1, 40))
+            params = random_parameters(rng)
+            base = random_step_profile(rng, diagonal_chance=0.5)
+            sites = rng.choice(np.arange(-half_width, half_width + 1),
+                               size=int(rng.integers(0, min(6, 2 * half_width + 2))),
+                               replace=False)
+            profile = CoinProfile(base.left, base.right,
+                                  {int(x): random_coin_entry(rng, 0.5) for x in sites})
+            cases.append((LatticeWindow(half_width), params, profile))
+        steps = ssqw.solver.SPECTRUM_ITERATION_STEPS
+        got = [sample_spectrum(*case) for case in cases]
+        monkeypatch.setattr(ssqw.solver, "SPECTRUM_ITERATION_STEPS", 3 * steps)
+        for case, first in zip(cases, got):
+            more = sample_spectrum(*case)
+            distance = np.abs(first[:, None] - more[None, :])
+            rows, cols = scipy.optimize.linear_sum_assignment(distance)
+            assert float(np.max(distance[rows, cols])) <= 1e-12
 
 
 def _assert_matches_dense_eigh(window, params, profile):
