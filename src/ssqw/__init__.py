@@ -7,8 +7,10 @@ that integer in closed form from the two limit coins (``analytic``) and
 checks every formula against finite-lattice numerics: sparse operator
 algebra on rings (``lattice``), and banded kernel censuses, explicit
 bound states and heat-trace estimates on open windows and banded
-spectrum sampling on rings (``solver``).  ``cli`` exposes the lot as the
-``ssqw`` command.
+spectrum sampling on rings (``solver``).  ``checks`` holds the ten
+verification criteria that pair each closed form with its numeric, and
+``cli`` exposes the lot as the ``ssqw`` command, whose ``verify`` runs
+those checks.
 """
 
 from .analytic import (

@@ -1,14 +1,19 @@
 """Command-line front end.
 
 Subcommands: ``index`` (single-point report), ``phase-diagram`` (sweep
-over p), ``verify`` (the property suite), ``spectrum``, ``trace`` and
+over p), ``verify`` (the ten numerical cross-checks), ``spectrum``, ``trace`` and
 ``bound-state`` (numerical artifacts).  Exit codes: 0 success, 1 a
 verification check failed, 2 invalid input.  Output goes to stdout or
 ``--out``; CSV uses a header row, '.' decimals and re/im column pairs
 for complex data.  All randomized behavior is fixed by ``--seed``.  A
-``--window`` whose largest dense matrix (or, for ``spectrum``, whose
-bands), or a ``--p-grid`` whose rows, would not fit in physical memory is
-an input error, found before anything is allocated.
+``--window`` whose largest dense matrix (or, for ``spectrum`` and
+``bound-state``, whose bands), or a ``--p-grid`` whose rows, would not fit
+in physical memory is an input error, found before anything is allocated.
+
+``verify`` prints one PASS/FAIL line per check of ``ssqw.checks`` and then
+``verify: OK`` or ``verify: FAILED``, as text: it ignores ``--format`` and
+``--out``.  ``--full`` runs the checks at the sizes of the acceptance
+gate; ``--window`` and ``--draws`` size only the operator-algebra ring.
 """
 
 from __future__ import annotations
@@ -23,8 +28,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from . import analytic, lattice, solver
 from .model import (
@@ -58,17 +61,18 @@ class RunConfig:
     boundary_band: float = analytic.NEAR_BOUNDARY_BAND
     draws: int = 100
     full: bool = False
-    inject_beta_sign: bool = False
 
 
-# trace, bound-state and verify allocate a dense complex n x n matrix for a
-# window of n = 2N+1 sites (a chiral block; verify's algebra check keeps the
-# two-component operators sparse)
-DENSE_WINDOW_COMMANDS = ("trace", "bound-state", "verify")
-# spectrum works on bands: peak bytes per site of the whole command, output
-# included, as tracemalloc measured it on gapped rings at N = 512 and 4096
-# (at most 893 a site), rounded up
-SPECTRUM_SITE_BYTES = 1000
+# for a window of n = 2N+1 sites, trace holds the real n x n eigenvectors of
+# its banded eigensolve and a copy of their bulk rows, and verify a dense
+# complex chiral block of its algebra ring (whose two-component operators
+# stay sparse): both are priced as a dense complex n x n matrix
+DENSE_WINDOW_COMMANDS = ("trace", "verify")
+# spectrum and bound-state work on bands: peak bytes per site of the whole
+# command, output included, as tracemalloc measured it at N = 512 and 4096,
+# rounded up (spectrum on gapped rings: at most 893 a site; bound-state on
+# type II and III walls, either sign and format: at most 506)
+SITE_BYTES = {"spectrum": 1000, "bound-state": 600}
 
 
 def _physical_memory() -> int:
@@ -77,8 +81,9 @@ def _physical_memory() -> int:
 
 def _require_window_fits(config: RunConfig) -> None:
     n = 2 * config.window + 1
-    if config.command == "spectrum":
-        needed, what = SPECTRUM_SITE_BYTES * n, f"{SPECTRUM_SITE_BYTES} bytes for each of {n} sites"
+    if config.command in SITE_BYTES:
+        site_bytes = SITE_BYTES[config.command]
+        needed, what = site_bytes * n, f"{site_bytes} bytes for each of {n} sites"
     elif config.command in DENSE_WINDOW_COMMANDS:
         needed, what = 16 * n * n, f"a dense {n}x{n} complex matrix"
     else:
@@ -336,288 +341,12 @@ def cmd_bound_state(config: RunConfig) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verify
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-    def line(self) -> str:
-        return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
-
-
-def _check_algebra(config: RunConfig) -> CheckResult:
-    rng = np.random.default_rng(config.seed)
-    window = lattice.LatticeWindow(config.window, lattice.PERIODIC)
-    worst = 0.0
-    for _ in range(config.draws):
-        params = solver.random_parameters(rng)
-        profile = solver.random_step_profile(rng)
-        report = lattice.verify_algebra(window, params, profile)
-        worst = max(worst, report.max_residual)
-        if config.inject_beta_sign:
-            # sabotage the reference block's diagonal (the beta terms) so the
-            # off-diagonalization comparison must blow past the threshold
-            mutated = lattice.build_q_epsilon(window, params, profile, +1).matrix / (-2j)
-            np.fill_diagonal(mutated, -np.diag(mutated))
-            conjugated = lattice.chiral_supercharge(window, params, profile)
-            n = window.size
-            worst = max(worst, float(np.max(np.abs(conjugated[n:, :n] - mutated))))
-    detail = f"max residual {worst:.3e} over {config.draws} draws at N={config.window} (threshold 1e-11)"
-    if config.inject_beta_sign:
-        detail += " [beta sign error injected into the off-diagonalization reference]"
-    return CheckResult("operator-algebra", worst < 1e-11, detail)
-
-
-def _check_transfer_eigenvalues(config: RunConfig) -> CheckResult:
-    rng = np.random.default_rng(config.seed + 1)
-    n_draws = 1000
-    worst_eig = 0.0
-    worst_mod = 0.0
-    for _ in range(n_draws):
-        params = solver.random_parameters(rng)
-        limit = solver.random_limit_coin(rng)
-        profile = CoinProfile(limit, limit)
-        for sign in (+1, -1):
-            pair = analytic.transfer_eigenvalues(params, limit, sign)
-            matrix = solver.transfer_matrix(params, profile, sign, "L").matrix
-            computed = sorted(np.linalg.eigvals(matrix), key=lambda z: (z.real, z.imag))
-            stated = sorted((pair.z1, pair.z2), key=lambda z: (z.real, z.imag))
-            worst_eig = max(worst_eig, max(abs(c - s) for c, s in zip(computed, stated)))
-            m1, m2 = analytic.eigenvalue_moduli(params.p, limit.a, sign)
-            worst_mod = max(worst_mod, abs(abs(pair.z1) - m1), abs(abs(pair.z2) - m2))
-    ok = worst_eig < 1e-10 and worst_mod < 1e-12
-    return CheckResult(
-        "transfer-eigenvalues",
-        ok,
-        f"eig residual {worst_eig:.3e} (<1e-10), moduli residual {worst_mod:.3e} (<1e-12), {n_draws} draws",
-    )
-
-
-def _check_sandwich(config: RunConfig) -> CheckResult:
-    rng = np.random.default_rng(config.seed + 2)
-    worst = 0.0
-    n_draws = 200
-    for _ in range(n_draws):
-        params = solver.random_parameters(rng)
-        profile = CoinProfile(solver.random_limit_coin(rng), solver.random_limit_coin(rng))
-        for sign in (+1, -1):
-            worst = max(worst, solver.sandwich_check(params, profile, sign))
-    return CheckResult(
-        "wall-diagonalization",
-        worst < 1e-11,
-        f"max residual {worst:.3e} over {n_draws} draws (threshold 1e-11)",
-    )
-
-
-def _check_kernel_grid(config: RunConfig) -> CheckResult:
-    if config.full:
-        points = solver.classification_grid()
-        n = 400
-    else:
-        points = solver.classification_grid(
-            p_values=(-0.7, -0.3, 0.3, 0.7), a_values=(-0.6, 0.0, 0.6)
-        )
-        n = config.window if config.window >= 100 else 200
-    window = lattice.LatticeWindow(n, lattice.OPEN)
-    conclusive = 0
-    mismatches = 0
-    for params, profile in points:
-        expected = analytic.kernel_dimensions(params, profile)
-        plus, minus = solver.kernel_counts(params, profile, window)
-        if plus.conclusive and minus.conclusive:
-            conclusive += 1
-            if (plus.dimension, minus.dimension) != expected:
-                mismatches += 1
-    fraction = conclusive / len(points)
-    ok = mismatches == 0 and fraction >= 0.95
-    return CheckResult(
-        "kernel-count-grid",
-        ok,
-        f"{len(points)} points at N={n}: {mismatches} mismatches, "
-        f"{100 * fraction:.1f}% conclusive (needs 0 and >=95%)",
-    )
-
-
-def _window_for_decay(state, floor: float = 1e-12, cap: int = 400) -> Optional[int]:
-    # half-width at which the slower tail has dropped under the floor
-    worst = max(state.decay_left, state.decay_right)
-    if worst <= 0.0:
-        return 50
-    needed = int(math.ceil(math.log(floor) / math.log(worst)))
-    return None if needed > cap else max(100, needed)
-
-
-def _check_bound_states(config: RunConfig) -> CheckResult:
-    rng = np.random.default_rng(config.seed + 3)
-    probe = lattice.LatticeWindow(50, lattice.OPEN)
-    n_checked = 0
-    worst_residual = 0.0
-    worst_overlap = 1.0
-    attempts = 0
-    while n_checked < 12 and attempts < 400:
-        attempts += 1
-        params = solver.random_parameters(rng, p_bound=0.9)
-        profile = CoinProfile(
-            solver.random_limit_coin(rng, diagonal_chance=0.3, a_bound=0.9),
-            solver.random_limit_coin(rng, diagonal_chance=0.3, a_bound=0.9),
-        )
-        report = analytic.witten_index(params, profile)
-        if not report.fredholm or report.coin_type is analytic.CoinType.I:
-            continue
-        if min(abs(abs(params.p) - abs(profile.left.a)),
-               abs(abs(params.p) - abs(profile.right.a))) < 0.05:
-            continue
-        for sign, d in ((+1, report.d_plus), (-1, report.d_minus)):
-            if d == 0:
-                continue
-            half_width = _window_for_decay(
-                solver.construct_bound_state(params, profile, sign, probe)
-            )
-            if half_width is None:
-                continue  # too delocalized for a finite-window certificate
-            window = lattice.LatticeWindow(half_width, lattice.OPEN)
-            state = solver.construct_bound_state(params, profile, sign, window)
-            worst_residual = max(worst_residual, solver.bound_state_residual(state, params, profile))
-            count = solver.kernel_count_svd(
-                lattice.build_q_epsilon(window, params, profile, sign)
-            )
-            if count.conclusive and count.dimension == 1:
-                overlap = abs(np.vdot(count.null_vectors[0], state.amplitudes))
-                worst_overlap = min(worst_overlap, overlap)
-            n_checked += 1
-    ok = n_checked > 0 and worst_residual < 1e-8 and worst_overlap > 0.999
-    return CheckResult(
-        "bound-states",
-        ok,
-        f"{n_checked} states: max residual {worst_residual:.3e} (<1e-8), "
-        f"min SVD overlap {worst_overlap:.6f} (>0.999)",
-    )
-
-
-def _check_trace(config: RunConfig) -> CheckResult:
-    window = lattice.LatticeWindow(600 if config.full else 300, lattice.OPEN)
-    from .model import LimitCoin
-
-    params = validate_parameters(0.5, math.sqrt(0.75))
-    profile = CoinProfile(LimitCoin.symmetric(0.8, 0.6), LimitCoin.symmetric(0.0, 1.0))
-    report_obj = analytic.witten_index(params, profile)
-    trace = solver.trace_index_report(window, params, profile)
-    err = abs(trace.final - report_obj.index)
-    diagonal = CoinProfile(LimitCoin(1.0, -1.0, 0j), LimitCoin(-1.0, 1.0, 0j))
-    zero = solver.trace_index(window, params, diagonal, 50.0)
-    ok = err < 0.1 and trace.monotone and zero == 0.0
-    return CheckResult(
-        "heat-trace",
-        ok,
-        f"final estimate off by {err:.3e} (<0.1), monotone={trace.monotone}, "
-        f"diagonal-coin trace {zero!r} (must be exactly 0.0)",
-    )
-
-
-def _check_spectrum(config: RunConfig) -> CheckResult:
-    window = lattice.LatticeWindow(512 if config.full else 128, lattice.PERIODIC)
-    rng = np.random.default_rng(config.seed + 4)
-    worst_violation = 0.0
-    worst_fill = 0.0
-    gap_ok = True
-    for _ in range(3):
-        params = solver.random_parameters(rng, p_bound=0.9)
-        limit = solver.random_limit_coin(rng, a_bound=0.9)
-        profile = CoinProfile(limit, limit)
-        eigs = solver.sample_spectrum(window, params, profile)
-        interval = analytic.essential_spectrum(params, limit)
-        re = np.sort(eigs.real)
-        worst_violation = max(worst_violation, interval.lo - re[0], re[-1] - interval.hi, 0.0)
-        inside = re[(re >= interval.lo) & (re <= interval.hi)]
-        pts = np.concatenate([[interval.lo], inside, [interval.hi]])
-        worst_fill = max(worst_fill, float(np.max(np.diff(pts))))
-        gap = min(abs(1.0 - interval.hi), abs(-1.0 - interval.lo))
-        gap_ok = gap_ok and (gap > 0) == analytic.fredholm_via_spectral_gap(params, profile)
-    budget = 10.0 / window.half_width
-    ok = worst_violation < 1e-6 and worst_fill <= budget and gap_ok
-    return CheckResult(
-        "spectrum-sampling",
-        ok,
-        f"interval violation {worst_violation:.2e} (<1e-6), fill {worst_fill:.4f} "
-        f"(<= {budget:.4f}), gap test consistent={gap_ok}",
-    )
-
-
-def _check_sign_flips(config: RunConfig) -> CheckResult:
-    failures = 0
-    total = 0
-    for params, profile in solver.classification_grid():
-        total += 1
-        if not analytic.sign_flip_identities(params, profile).passed:
-            failures += 1
-    return CheckResult(
-        "sign-flip-identities",
-        failures == 0,
-        f"{failures} failures over {total} grid points",
-    )
-
-
-def _check_p_zero(config: RunConfig) -> CheckResult:
-    failures = 0
-    fredholm_points = 0
-    params = validate_parameters(0.0, 1.0 + 0j)
-    for _, profile in solver.classification_grid(p_values=(0.1,)):
-        # a(#) = 0 sides stop being Fredholm at p = 0; only defined indices count
-        report = analytic.witten_index(params, profile)
-        if not report.fredholm:
-            continue
-        fredholm_points += 1
-        if report.index != 0:
-            failures += 1
-    ok = failures == 0 and fredholm_points > 0
-    return CheckResult(
-        "p-zero-slice",
-        ok,
-        f"{failures} nonzero indices over {fredholm_points} Fredholm coin points at p=0",
-    )
-
-
-def _check_perturbations(config: RunConfig) -> CheckResult:
-    from .model import LimitCoin
-
-    params = validate_parameters(0.5, math.sqrt(0.75))
-    profile = CoinProfile(LimitCoin.symmetric(0.8, 0.6), LimitCoin.symmetric(0.0, 1.0))
-    window = lattice.LatticeWindow(300 if config.full else 150, lattice.OPEN)
-    trials = 20 if config.full else 5
-    report = solver.perturbation_invariance_test(
-        params, profile, trials=trials, seed=config.seed + 5, window=window
-    )
-    return CheckResult(
-        "compact-perturbations",
-        report.passed,
-        f"{report.n_conclusive}/{len(report.trials)} conclusive trials, "
-        f"all matching index {report.base_index}: {report.passed}",
-    )
-
-
-VERIFY_CHECKS = (
-    _check_algebra,
-    _check_transfer_eigenvalues,
-    _check_sandwich,
-    _check_kernel_grid,
-    _check_bound_states,
-    _check_trace,
-    _check_spectrum,
-    _check_sign_flips,
-    _check_p_zero,
-    _check_perturbations,
-)
-
-
 def cmd_verify(config: RunConfig) -> int:
+    from . import checks  # imported here: the other commands need not pay for it
+
+    sizes = checks.FULL if config.full else checks.QUICK
     all_passed = True
-    for check in VERIFY_CHECKS:
-        result = check(config)
+    for result in checks.run(sizes, config.seed, config.window, config.draws):
         print(result.line())
         all_passed = all_passed and result.passed
     print("verify: OK" if all_passed else "verify: FAILED")
@@ -657,11 +386,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the property suite")
     common(p_verify, 64, lattice.PERIODIC)
     p_verify.add_argument("--draws", type=int, default=100,
-                          help="random draws for the algebra suite (default 100)")
+                          help="random draws for the algebra check (default 100)")
     p_verify.add_argument("--full", action="store_true",
-                          help="acceptance-sized grids (slow)")
-    p_verify.add_argument("--inject-beta-sign", action="store_true",
-                          help=argparse.SUPPRESS)
+                          help="the acceptance gate's sizes (slow)")
 
     p_spec = sub.add_parser("spectrum", help="eigenvalues of the truncated walk")
     common(p_spec, 256, lattice.PERIODIC)
@@ -693,7 +420,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         boundary_band=args.boundary_band,
         draws=getattr(args, "draws", 100),
         full=getattr(args, "full", False),
-        inject_beta_sign=getattr(args, "inject_beta_sign", False),
     )
 
 

@@ -683,8 +683,9 @@ def h_epsilon_band_eigensystem(window: LatticeWindow, params: WalkParameters,
     squared mass on the middle half of the window, which the phases leave
     unchanged.
     """
-    block = build_q_epsilon(window, params, profile, sign)
-    d, e, f, _ = _real_gauge(*_tridiagonal_bands(block.matrix), block.role)
+    d, e, f = _chiral_bands(window, params, profile, sign)
+    label = "plus" if sign == 1 else "minus"
+    d, e, f, _ = _real_gauge(d, e[:-1], f[:-1], f"q_epsilon_{label}")
     n = len(d)
     h0 = d ** 2
     h0[1:] += e ** 2
@@ -714,24 +715,6 @@ def _supertrace(t: float, plus, minus) -> float:
     return float(np.sum(np.exp(-t * wp) * gp) - np.sum(np.exp(-t * wm) * gm))
 
 
-def trace_index(window: LatticeWindow, params: WalkParameters,
-                profile: CoinProfile, t: float) -> float:
-    """Bulk heat-trace index estimate on an open window.
-
-    On the full lattice the index equals tr(exp(-t H+) - exp(-t H-)) for
-    every t > 0.  On a square finite section that trace is identically
-    zero (the two blocks are R* R and R R* of the same square matrix, so
-    they are isospectral); the index density instead concentrates near
-    the coin wall with an equal and opposite contribution pinned to the
-    artificial window ends.  The estimator therefore sums the heat-kernel
-    diagonal over the middle half of the window only.  H+- come from the
-    rescaled chiral blocks, so t is in rescaled units.  A profile whose
-    coin is diagonal everywhere gives exactly 0.0.
-    """
-    plus, minus = _supertrace_data(window, params, profile)
-    return _supertrace(float(t), plus, minus)
-
-
 DEFAULT_T_GRID = (5.0, 10.0, 20.0, 50.0)
 
 
@@ -758,7 +741,18 @@ class TraceReport:
 def trace_index_report(window: LatticeWindow, params: WalkParameters,
                        profile: CoinProfile,
                        t_grid=DEFAULT_T_GRID) -> TraceReport:
-    """Bulk heat-trace estimates over an increasing t grid, one eigensolve."""
+    """Bulk heat-trace index estimates over an increasing t grid, one eigensolve.
+
+    On the full lattice the index equals tr(exp(-t H+) - exp(-t H-)) for
+    every t > 0.  On a square finite section that trace is identically
+    zero (the two blocks are R* R and R R* of the same square matrix, so
+    they are isospectral); the index density instead concentrates near
+    the coin wall with an equal and opposite contribution pinned to the
+    artificial window ends.  Each estimate therefore sums the heat-kernel
+    diagonal over the middle half of an open window only.  H+- come from
+    the rescaled chiral blocks, so t is in rescaled units.  A profile
+    whose coin is diagonal everywhere gives exactly 0.0.
+    """
     t_grid = tuple(float(t) for t in t_grid)
     if any(t <= 0 for t in t_grid) or list(t_grid) != sorted(t_grid):
         raise ValueError("t grid must be positive and increasing")

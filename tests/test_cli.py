@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ssqw import cli
+from ssqw import checks, cli
 from ssqw.model import canonical_json
 from strategies import E1_DOCUMENT
 
@@ -327,36 +327,42 @@ class TestBoundStateCommand:
         assert "fitted decay" in err
 
 
-class TestVerifyPlumbing:
-    def test_injected_beta_sign_error_fails_the_algebra_check(self):
-        config = cli.RunConfig(command="verify", window=16, draws=3,
-                               inject_beta_sign=True)
-        result = cli._check_algebra(config)
-        assert not result.passed
-        assert "injected" in result.detail
+VERIFY_NAMES = (
+    "operator-algebra", "transfer-eigenvalues", "wall-diagonalization", "kernel-count-grid",
+    "bound-states", "heat-trace", "spectrum-sampling", "sign-flip-identities",
+    "p-zero-slice", "compact-perturbations",
+)
 
+
+class TestVerifyPlumbing:
     def test_clean_config_passes_the_algebra_check(self):
-        config = cli.RunConfig(command="verify", window=16, draws=3)
-        result = cli._check_algebra(config)
-        assert result.passed
+        assert checks.operator_algebra(seed=7, half_width=16, draws=3).passed
 
     def test_seed_change_keeps_verdicts(self):
-        for check in (cli._check_algebra, cli._check_sandwich):
-            verdicts = {
-                check(cli.RunConfig(command="verify", window=16, draws=5, seed=s)).passed
-                for s in (7, 12345)
-            }
-            assert verdicts == {True}
+        for check in (lambda s: checks.operator_algebra(s, half_width=16, draws=5),
+                      checks.wall_diagonalization):
+            assert {check(s).passed for s in (7, 12345)} == {True}
 
     def test_exit_codes_follow_check_outcomes(self, capsys, monkeypatch):
-        passing = cli.CheckResult("stub-pass", True, "ok")
-        failing = cli.CheckResult("stub-fail", False, "broken")
-        monkeypatch.setattr(cli, "VERIFY_CHECKS", (lambda c: passing,))
+        passing = checks.CheckResult("stub-pass", True, "ok")
+        failing = checks.CheckResult("stub-fail", False, "broken")
+        monkeypatch.setattr(checks, "run", lambda *args: iter([passing]))
         assert cli.cmd_verify(cli.RunConfig(command="verify")) == 0
-        monkeypatch.setattr(cli, "VERIFY_CHECKS", (lambda c: passing, lambda c: failing))
+        monkeypatch.setattr(checks, "run", lambda *args: iter([passing, failing]))
         assert cli.cmd_verify(cli.RunConfig(command="verify")) == 1
         out = capsys.readouterr().out
         assert "PASS stub-pass" in out and "FAIL stub-fail" in out
+
+    def test_verify_prints_ten_passing_checks(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--seed", "7")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 11
+        assert [line.split(":")[0] for line in lines[:-1]] == [f"PASS {n}" for n in VERIFY_NAMES]
+        assert lines[-1] == "verify: OK"
+
+    def test_the_beta_sign_hook_is_gone(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--inject-beta-sign")
+        assert code == 2 and out == ""
 
 
 # every number a profile document can hold, each in a document where it is read
@@ -512,11 +518,26 @@ class TestInputErrors:
     def test_window_guard_reads_the_physical_memory(self, capsys, e1_profile_path,
                                                     monkeypatch):
         # spectrum works on bands and is priced per site: 41 of them at --window 20
-        _assert_window_price(capsys, monkeypatch, 41 * cli.SPECTRUM_SITE_BYTES,
+        _assert_window_price(capsys, monkeypatch, 41 * cli.SITE_BYTES["spectrum"],
                              "spectrum", "--profile", e1_profile_path)
 
+    def test_window_guard_prices_a_bound_state_per_site(self, capsys, e1_profile_path,
+                                                        monkeypatch):
+        _assert_window_price(capsys, monkeypatch, 41 * cli.SITE_BYTES["bound-state"],
+                             "bound-state", "--profile", e1_profile_path)
+
+    def test_bound_state_runs_on_a_window_beyond_a_dense_block(self, capsys, e1_profile_path,
+                                                               tmp_path):
+        # a dense 24001x24001 complex block would take 8.58 GiB
+        out = str(tmp_path / "state.json")
+        code, _, err = run_cli(capsys, "bound-state", "--profile", e1_profile_path,
+                               "--window", "12000", "--out", out)
+        assert code == 0, err
+        with open(out) as fh:
+            assert len(json.load(fh)["samples"]) == 24001
+
     def test_window_guard_prices_a_dense_block(self, capsys, e1_profile_path, monkeypatch):
-        # trace still allocates a dense 41x41 complex block at --window 20
+        # trace is priced as a dense 41x41 complex matrix at --window 20
         _assert_window_price(capsys, monkeypatch, 16 * 41 * 41,
                              "trace", "--boundary", "open", "--profile", e1_profile_path)
 

@@ -16,6 +16,7 @@ import scipy.optimize
 
 import ssqw
 
+from ssqw import checks
 from ssqw.analytic import eigenvalue_moduli, transfer_eigenvalues
 from ssqw.lattice import (
     OPEN,
@@ -50,7 +51,6 @@ from ssqw.solver import (
     random_step_profile,
     sample_spectrum,
     sandwich_check,
-    trace_index,
     trace_index_report,
     transfer_matrix,
 )
@@ -575,6 +575,28 @@ class TestBandEigensystem:
             _assert_matches_dense_eigh(window, params, profile)
 
 
+def _dense_block_bands(window, params, profile, sign):
+    # the reference route: the bands read off the dense block, with zero
+    # open-window corners
+    block = build_q_epsilon(window, params, profile, sign).matrix
+    zero = np.zeros(1, dtype=complex)
+    return (np.diag(block).copy(), np.concatenate([np.diag(block, 1), zero]),
+            np.concatenate([np.diag(block, -1), zero]))
+
+
+class TestBandEigensystemRoute:
+    @pytest.mark.parametrize("point", checks.TRACE_POINTS)  # the first is the e1 wall
+    def test_bands_equal_the_dense_block_route_bit_for_bit(self, point, monkeypatch):
+        p, a_l, a_r, _ = point
+        params, profile = _params(p), CoinProfile(_coin(a_l), _coin(a_r))
+        window = LatticeWindow(50, OPEN)
+        banded = [h_epsilon_band_eigensystem(window, params, profile, s) for s in (+1, -1)]
+        monkeypatch.setattr(ssqw.solver, "_chiral_bands", _dense_block_bands)
+        for sign, (w, weights) in zip((+1, -1), banded):
+            dense_w, dense_weights = h_epsilon_band_eigensystem(window, params, profile, sign)
+            assert np.array_equal(w, dense_w) and np.array_equal(weights, dense_weights)
+
+
 class TestTraceIndex:
     def test_e1_estimates_are_frozen(self, e1_params, e1_profile):
         report = trace_index_report(LatticeWindow(300, OPEN), e1_params, e1_profile)
@@ -587,8 +609,9 @@ class TestTraceIndex:
 
     def test_diagonal_coin_supertrace_is_exactly_zero(self, e1_params):
         window = LatticeWindow(100, OPEN)
-        for t in (5.0, 50.0):
-            assert trace_index(window, e1_params, TYPE_I_PROFILE, t) == 0.0
+        report = trace_index_report(window, e1_params, TYPE_I_PROFILE, (5.0, 50.0))
+        for estimate in report.estimates:
+            assert estimate == 0.0
 
     def test_negative_index_point(self):
         params = _params(-0.5)
@@ -599,7 +622,7 @@ class TestTraceIndex:
 
     def test_rejects_periodic_window(self, e1_params, e1_profile):
         with pytest.raises(ProfileError, match="open"):
-            trace_index(LatticeWindow(50), e1_params, e1_profile, 5.0)
+            trace_index_report(LatticeWindow(50), e1_params, e1_profile, (5.0,))
 
     def test_rejects_bad_t_grid(self, e1_params, e1_profile):
         window = LatticeWindow(50, OPEN)
