@@ -4,8 +4,8 @@ The walk on l2(Z, C^2) composes an anisotropic shift with a site-dependent
 coin; its supersymmetric structure pairs two chiral blocks whose kernel
 dimensions differ by a homotopy-invariant integer.  This package computes
 that integer in closed form from the two limit coins (``analytic``) and
-checks every formula against finite-lattice numerics: sparse operator
-algebra on rings (``lattice``), and banded kernel censuses, explicit
+checks every formula against finite-lattice numerics: operator algebra
+on band grids over rings (``lattice``), and banded kernel censuses, explicit
 bound states and heat-trace estimates on open windows and banded
 spectrum sampling on rings (``solver``).  ``checks`` holds the ten
 verification criteria that pair each closed form with its numeric, and

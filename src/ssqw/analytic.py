@@ -53,11 +53,6 @@ def alpha_coefficient(params: WalkParameters, b: complex, sign: int) -> complex:
     return (1.0 + s * params.p) * complex(math.cos(params.theta), math.sin(params.theta)) * b
 
 
-def beta_limit(params: WalkParameters, limit: LimitCoin) -> float:
-    """Diagonal recursion weight at a lattice end: -2 |q| a."""
-    return -2.0 * params.abs_q * limit.a
-
-
 @dataclass(frozen=True)
 class EigenPair:
     """Eigenvalues z1, z2 of a limit transfer matrix with eigenvector matrix.

@@ -80,6 +80,9 @@ def _symmetric(a: float, phase: float = 0.0) -> LimitCoin:
     return LimitCoin.symmetric(a, b)
 
 
+ALGEBRA_BOUND = 1e-11  # largest operator-algebra residual that passes
+
+
 def operator_algebra(seed: int, half_width: int = 64, draws: int = 100) -> CheckResult:
     """Defining identities on random rings, every fifth with three site overrides."""
     rng = np.random.default_rng(seed)
@@ -92,9 +95,9 @@ def operator_algebra(seed: int, half_width: int = 64, draws: int = 100) -> Check
             overrides = {int(x): solver.random_coin_entry(rng) for x in rng.integers(-20, 21, 3)}
             profile = CoinProfile(profile.left, profile.right, overrides)
         worst = max(worst, lattice.verify_algebra(window, params, profile).max_residual)
-    return CheckResult("operator-algebra", worst < 1e-11,
+    return CheckResult("operator-algebra", worst < ALGEBRA_BOUND,
                        f"max residual {worst:.3e} over {draws} draws at N={half_width} "
-                       f"(threshold 1e-11)")
+                       f"(threshold {ALGEBRA_BOUND:g})")
 
 
 def transfer_eigenvalues(seed: int, draws: int = 1000) -> CheckResult:

@@ -6,9 +6,9 @@ over p), ``verify`` (the ten numerical cross-checks), ``spectrum``, ``trace`` an
 verification check failed, 2 invalid input.  Output goes to stdout or
 ``--out``; CSV uses a header row, '.' decimals and re/im column pairs
 for complex data.  All randomized behavior is fixed by ``--seed``.  A
-``--window`` whose largest dense matrix (or, for ``spectrum`` and
-``bound-state``, whose bands), or a ``--p-grid`` whose rows, would not fit
-in physical memory is an input error, found before anything is allocated.
+``--window`` or a ``--p-grid`` whose measured price (``WINDOW_BYTES``,
+``GRID_ROW_BYTES``) would not fit in physical memory is an input error,
+found before anything is allocated.
 
 ``verify`` prints one PASS/FAIL line per check of ``ssqw.checks`` and then
 ``verify: OK`` or ``verify: FAILED``, as text: it ignores ``--format`` and
@@ -63,16 +63,18 @@ class RunConfig:
     full: bool = False
 
 
-# for a window of n = 2N+1 sites, trace holds the real n x n eigenvectors of
-# its banded eigensolve and a copy of their bulk rows, and verify a dense
-# complex chiral block of its algebra ring (whose two-component operators
-# stay sparse): both are priced as a dense complex n x n matrix
-DENSE_WINDOW_COMMANDS = ("trace", "verify")
-# spectrum and bound-state work on bands: peak bytes per site of the whole
-# command, output included, as tracemalloc measured it at N = 512 and 4096,
-# rounded up (spectrum on gapped rings: at most 893 a site; bound-state on
-# type II and III walls, either sign and format: at most 506)
-SITE_BYTES = {"spectrum": 1000, "bound-state": 600}
+# the price of a window of n = 2N+1 sites: (bytes, power) means bytes times
+# n**power, the peak of the whole command, output included, as tracemalloc
+# measured it at two windows, rounded up.  spectrum on gapped rings: at most
+# 893 bytes a site at N = 512 and 4096; bound-state on type II and III walls,
+# either sign and format: at most 506 a site at N = 512 and 4096; verify, whose
+# --window sizes only the algebra ring: at most 1493 a site at N = 512 and
+# 4096, while the rest of the command stays under 10 MB at any window; trace,
+# which holds the real n x n eigenvectors of a banded eigensolve, the solver's
+# workspace and a copy of their bulk rows: at most 24.8 bytes per n^2 at
+# N = 256 and 1024
+WINDOW_BYTES = {"spectrum": (1000, 1), "bound-state": (600, 1), "verify": (1500, 1),
+                "trace": (25, 2)}
 
 
 def _physical_memory() -> int:
@@ -80,14 +82,12 @@ def _physical_memory() -> int:
 
 
 def _require_window_fits(config: RunConfig) -> None:
-    n = 2 * config.window + 1
-    if config.command in SITE_BYTES:
-        site_bytes = SITE_BYTES[config.command]
-        needed, what = site_bytes * n, f"{site_bytes} bytes for each of {n} sites"
-    elif config.command in DENSE_WINDOW_COMMANDS:
-        needed, what = 16 * n * n, f"a dense {n}x{n} complex matrix"
-    else:
+    if config.command not in WINDOW_BYTES:
         return  # the command reads no window
+    n = 2 * config.window + 1
+    price, power = WINDOW_BYTES[config.command]
+    needed = price * n ** power
+    what = f"{price} bytes for each of {n} sites" if power == 1 else f"{price} bytes times {n}^2"
     available = _physical_memory()
     if needed > available:
         raise ProfileError(

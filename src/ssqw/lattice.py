@@ -7,11 +7,16 @@ shift (exactly unitary, used for operator-algebra checks); open windows
 drop the couplings across the ends (finite sections, used for kernel
 counting and heat traces).
 
-Every two-component operator here (gamma, the coin, the chiral rotation)
-has exactly two entries per row, one in each component.  They are
-assembled once, as sparse CSR matrices; the operator-algebra check
-multiplies them in that form, and the public ``build_*`` functions hand
-out their dense copies.
+Every operator of the split-step walk is a grid of diagonals times powers
+of the shift, and it is held that way, never as a matrix: a band grid is
+an m x m tuple of cyclic bands {offset mod n: entries}, one per pair of
+components, entry i of offset k sitting at (i, i+k) of the n-site block.
+``grid_product`` and ``grid_adjoint`` work in that form, so the
+operator-algebra check multiplies gamma, the coin and the chiral rotation
+in O(n), and the spectrum guard uses them on one-component rings.  A
+chiral block of the supercharge is tridiagonal and travels as its band
+stack [d, e, f] (``build_q_epsilon``).  Only ``build_evolution`` hands out
+a dense matrix.
 """
 
 from __future__ import annotations
@@ -19,12 +24,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 from .model import CoinProfile, ProfileError, WalkParameters
 from .analytic import alpha_coefficient
@@ -65,7 +66,12 @@ class LatticeWindow:
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """A dense matrix with its window and a role tag."""
+    """An operator on a window with a role tag.
+
+    ``matrix`` holds the (3, n) band stack [d, e, f] of a chiral block
+    (``build_q_epsilon``) or the dense matrix of the walk
+    (``build_evolution``).
+    """
 
     role: str
     window: LatticeWindow
@@ -94,76 +100,104 @@ def coin_sequences(window: LatticeWindow, profile: CoinProfile):
     return a1, a2, b
 
 
-def _two_entry_rows(n: int, left_cols, left_vals, right_cols, right_vals) -> sp.csr_array:
-    """2n x 2n CSR matrix whose row i holds left_vals[i] in column left_cols[i]
-    and right_vals[i] in column n + right_cols[i], all columns below n."""
-    # imported here, not with the module: only the two-component operators
-    # are sparse, and the import costs every other command about 20 ms and 1.5 MiB
-    import scipy.sparse as sp
+def grid_product(a, b):
+    """The band grid of the product of two band grids.
 
-    indices = np.empty((2 * n, 2), dtype=np.int32)
-    indices[:, 0] = left_cols
-    indices[:, 1] = n + right_cols
-    data = np.empty((2 * n, 2), dtype=complex)
-    data[:, 0] = left_vals
-    data[:, 1] = right_vals
-    return sp.csr_array((data.ravel(), indices.ravel(), np.arange(0, 4 * n + 1, 2)),
-                        shape=(2 * n, 2 * n))
-
-
-def _shift(window: LatticeWindow):
-    """Columns and values of the rows of the shift (L psi)(x) = psi(x+1) and of L*.
-
-    Row i of L has its entry in column i+1 and row i of L* in column i-1,
-    cyclically; an open window keeps the couplings across its ends as
-    explicit zeros.
+    Entry i of offset k of a block meets entry i+k of the other factor's
+    bands; on rings of three or four sites offsets that meet mod n add up,
+    as in the matrix itself.
     """
-    rows = np.arange(window.size)
-    hop = np.ones(window.size)
+    def block(row, column):
+        out = {}
+        for x, y in zip(row, column):
+            for k, u in x.items():
+                for m, v in y.items():
+                    key = (k + m) % len(u)
+                    out[key] = out.get(key, 0) + u * np.roll(v, -k)
+        return out
+
+    columns = list(zip(*b))
+    return tuple(tuple(block(row, column) for column in columns) for row in a)
+
+
+def grid_adjoint(a):
+    """The band grid of the adjoint: block (i, j) is the adjoint of block (j, i)."""
+    return tuple(
+        tuple({(-k) % len(v): np.roll(v.conj(), k) for k, v in band.items()} for band in column)
+        for column in zip(*a)
+    )
+
+
+def diagonal_grid(n: int, *values) -> tuple:
+    """diag(values[0], values[1], ...) times the identity on n sites, as a band grid."""
+    return tuple(
+        tuple({0: np.full(n, value)} if i == j else {} for j in range(len(values)))
+        for i, value in enumerate(values)
+    )
+
+
+def grid_sum(*terms):
+    """The band grid of the sum of c G over (c, G) pairs of band grids of one shape."""
+    total = tuple(tuple({} for _ in row) for row in terms[0][1])
+    for c, grid in terms:
+        for out_row, row in zip(total, grid):
+            for out, band in zip(out_row, row):
+                for k, v in band.items():
+                    out[k] = out.get(k, 0) + c * v
+    return total
+
+
+def grid_max_abs(grid) -> float:
+    """The largest entry modulus of a band grid: its max-norm as a matrix."""
+    return float(max((np.max(np.abs(v)) for row in grid for band in row for v in band.values()),
+                     default=0.0))
+
+
+def ring_band(bands) -> dict:
+    """The cyclic band of a tridiagonal block from its stack [d, e, f]:
+    d[x] at (x, x), e[x] at (x, x+1) and f[x] at (x+1, x), x+1 mod n."""
+    d, e, f = bands
+    return {0: d, 1: e, len(d) - 1: np.roll(f, 1)}
+
+
+def _gamma(window: LatticeWindow, params: WalkParameters):
+    """Shift half of the walk: [[p, q L], [conj(q) L*, -p]], with (L psi)(x) = psi(x+1).
+
+    Self-adjoint always; an involution only on periodic windows: an open
+    window keeps the couplings across its ends as explicit zeros.
+    """
+    n = window.size
+    hop = np.ones(n)
     if not window.periodic:
         hop[-1] = 0.0
-    return np.roll(rows, -1), hop, np.roll(rows, 1), np.roll(hop, 1)
-
-
-def _gamma(window: LatticeWindow, params: WalkParameters) -> sp.csr_array:
-    n = window.size
-    rows = np.arange(n)
-    ahead, hop, behind, hop_adj = _shift(window)
     p = np.full(n, params.p)
-    return _two_entry_rows(n, np.concatenate([rows, behind]),
-                           np.concatenate([p, params.q.conjugate() * hop_adj]),
-                           np.concatenate([ahead, rows]),
-                           np.concatenate([params.q * hop, -p]))
+    return (({0: p}, {1: params.q * hop}),
+            ({n - 1: params.q.conjugate() * np.roll(hop, 1)}, {0: -p}))
 
 
-def _coin(window: LatticeWindow, profile: CoinProfile) -> sp.csr_array:
-    n = window.size
+def _coin(window: LatticeWindow, profile: CoinProfile):
+    """Coin half: sitewise [[a1, conj(b)], [b, a2]]; always an involution."""
     a1, a2, b = coin_sequences(window, profile)
-    cols = np.tile(np.arange(n), 2)
-    return _two_entry_rows(n, cols, np.concatenate([a1, b]),
-                           cols, np.concatenate([b.conjugate(), a2]))
+    return (({0: a1}, {0: b.conjugate()}), ({0: b}, {0: a2}))
 
 
-def _epsilon(window: LatticeWindow, params: WalkParameters) -> sp.csr_array:
-    if not window.periodic:
-        raise ProfileError("the chiral rotation is built on periodic windows only")
+def _epsilon(window: LatticeWindow, params: WalkParameters):
+    """Chiral-basis rotation [[sqrt(1+p), -sqrt(1-p)], [sqrt(1-p) e^{-i theta} L*,
+    sqrt(1+p) e^{-i theta} L*]] / sqrt(2); unitary on periodic windows."""
     n = window.size
-    rows = np.arange(n)
-    cols = np.concatenate([rows, np.roll(rows, 1)])  # L* in the lower half
     phase = cmath.exp(-1j * params.theta)
     plus, minus = math.sqrt(1.0 + params.p), math.sqrt(1.0 - params.p)
     left = np.array([plus, minus * phase]) / math.sqrt(2.0)
     right = np.array([-minus, plus * phase]) / math.sqrt(2.0)
-    return _two_entry_rows(n, cols, np.repeat(left, n), cols, np.repeat(right, n))
+    return (({0: np.full(n, left[0])}, {0: np.full(n, right[0])}),
+            ({n - 1: np.full(n, left[1])}, {n - 1: np.full(n, right[1])}))
 
 
-def _evolution(window: LatticeWindow, params: WalkParameters,
-               profile: CoinProfile) -> sp.csr_array:
-    return _gamma(window, params) @ _coin(window, profile)
+def _evolution(window: LatticeWindow, params: WalkParameters, profile: CoinProfile):
+    return grid_product(_gamma(window, params), _coin(window, profile))
 
 
-def _split_step(window: LatticeWindow, params: WalkParameters,
-                profile: CoinProfile) -> sp.csr_array:
+def _split_step(window: LatticeWindow, params: WalkParameters, profile: CoinProfile):
     """U written entry by entry from the split-step formula, not as a product.
 
     (U psi)_up(x) = p (a1(x) psi_up(x) + conj(b(x)) psi_down(x))
@@ -172,70 +206,41 @@ def _split_step(window: LatticeWindow, params: WalkParameters,
                       - p (b(x) psi_up(x) + a2(x) psi_down(x)), with x+-1 cyclic.
     Periodic windows only; the check of ``_evolution`` against it.
     """
-    import scipy.sparse as sp  # see _two_entry_rows
-
     n = window.size
     a1, a2, b = coin_sequences(window, profile)
-    x = np.arange(n)
-    ahead, behind = np.roll(x, -1), np.roll(x, 1)
     p, q = params.p, params.q
-    rows = np.repeat([x, n + x], 4, axis=0).ravel()
-    cols = np.concatenate([x, n + x, ahead, n + ahead, behind, n + behind, x, n + x])
-    vals = np.concatenate([p * a1, p * b.conj(), q * b[ahead], q * a2[ahead],
-                           q.conjugate() * a1[behind], q.conjugate() * b[behind].conj(),
-                           -p * b, -p * a2])
-    return sp.csr_array((vals, (rows, cols)), shape=(2 * n, 2 * n))
-
-
-def _supercharge(window: LatticeWindow, params: WalkParameters,
-                 profile: CoinProfile) -> sp.csr_array:
-    g = _gamma(window, params)
-    c = _coin(window, profile)
-    return (g @ c - c @ g) / 2j
-
-
-def build_gamma(window: LatticeWindow, params: WalkParameters) -> TruncatedOperator:
-    """Shift half of the walk: [[p, q L], [conj(q) L*, -p]].
-
-    Self-adjoint always; an involution (gamma^2 = 1) only on periodic
-    windows, where L is exactly unitary.
-    """
-    return TruncatedOperator("gamma", window, _gamma(window, params).toarray())
-
-
-def build_coin(window: LatticeWindow, profile: CoinProfile) -> TruncatedOperator:
-    """Coin half: sitewise [[a1, conj(b)], [b, a2]]; always an involution."""
-    return TruncatedOperator("coin", window, _coin(window, profile).toarray())
+    ahead, behind = -1, 1  # np.roll shifts bringing x+1 and x-1 to x
+    return (({0: p * a1, 1: q * np.roll(b, ahead)},
+             {0: p * b.conj(), 1: q * np.roll(a2, ahead)}),
+            ({n - 1: q.conjugate() * np.roll(a1, behind), 0: -p * b},
+             {n - 1: q.conjugate() * np.roll(b.conj(), behind), 0: -p * a2}))
 
 
 def build_evolution(window: LatticeWindow, params: WalkParameters,
                     profile: CoinProfile) -> TruncatedOperator:
-    """The walk U = gamma C."""
-    return TruncatedOperator("evolution", window,
-                             _evolution(window, params, profile).toarray())
+    """The walk U = gamma C as a dense matrix, filled from its band grid."""
+    n = window.size
+    rows = np.arange(n)
+    mat = np.zeros((2 * n, 2 * n), dtype=complex)
+    for i, row in enumerate(_evolution(window, params, profile)):
+        for j, band in enumerate(row):
+            for k, entries in band.items():
+                mat[i * n + rows, j * n + (rows + k) % n] = entries
+    return TruncatedOperator("evolution", window, mat)
 
 
-def build_supercharge(window: LatticeWindow, params: WalkParameters,
-                      profile: CoinProfile) -> TruncatedOperator:
-    """Q = [gamma, coin] / 2i; on periodic windows equals (U - U*) / 2i."""
-    return TruncatedOperator("supercharge", window,
-                             _supercharge(window, params, profile).toarray())
+def build_q_epsilon(window: LatticeWindow, params: WalkParameters,
+                    profile: CoinProfile, sign: int) -> TruncatedOperator:
+    """One chiral block of the supercharge as its tridiagonal band stack [d, e, f].
 
-
-def build_epsilon(window: LatticeWindow, params: WalkParameters) -> TruncatedOperator:
-    """Chiral-basis rotation [[sqrt(1+p), -sqrt(1-p)], [sqrt(1-p) e^{-i theta} L*,
-    sqrt(1+p) e^{-i theta} L*]] / sqrt(2); periodic windows only (needs L unitary)."""
-    return TruncatedOperator("epsilon", window, _epsilon(window, params).toarray())
-
-
-def _chiral_bands(window: LatticeWindow, params: WalkParameters,
-                  profile: CoinProfile, sign: int):
-    """Bands (d, e, f) of one rescaled chiral block, as ``build_q_epsilon`` fills it.
-
-    Row x holds d[x] on the diagonal, e[x] at (x, x+1) and f[x] at
-    (x+1, x), with x+1 evaluated cyclically: e[-1] and f[-1] are the ring
-    corners, zero on open windows, which drop the couplings across their
-    ends.
+    Row x carries d[x] = s beta(x) on the diagonal, with
+    beta(x) = |q| (a2(x+1) - a1(x)), e[x] = alpha_s(x+1) at (x, x+1) and
+    f[x] = -conj(alpha_{-s}(x+1)) at (x+1, x).  Periodic windows evaluate
+    x+1 cyclically: e[-1] and f[-1] are the ring corners (N, -N) and
+    (-N, N).  Open windows set the corners to zero but keep the true beta,
+    so the block is the finite section of the half-infinite one.  The
+    block is rescaled: -2i times the matching block of the supercharge in
+    the chiral basis (``verify_algebra``).
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -252,35 +257,12 @@ def _chiral_bands(window: LatticeWindow, params: WalkParameters,
     a2 = np.array([e.a2 for e in table])
     upper = np.array([alpha_coefficient(params, e.b, sign) for e in table])
     lower = np.array([-alpha_coefficient(params, e.b, -sign).conjugate() for e in table])
-    d = sign * params.abs_q * (a2[nxt] - a1[here])
-    e = upper[nxt]
-    f = lower[np.roll(here, -1)]
+    bands = np.array([sign * params.abs_q * (a2[nxt] - a1[here]), upper[nxt],
+                      lower[np.roll(here, -1)]])
     if not window.periodic:
-        e[-1] = f[-1] = 0.0
-    return d, e, f
-
-
-def build_q_epsilon(window: LatticeWindow, params: WalkParameters,
-                    profile: CoinProfile, sign: int) -> TruncatedOperator:
-    """One chiral block of the supercharge as a tridiagonal window matrix.
-
-    Row x carries alpha_s(x+1) on the superdiagonal, -conj(alpha_{-s}(x))
-    on the subdiagonal and s beta(x) on the diagonal, with
-    beta(x) = |q| (a2(x+1) - a1(x)).  Periodic windows evaluate x+1
-    cyclically; open windows drop the end couplings but keep the true
-    beta, so the matrix is the finite section of the half-infinite one.
-    The block is rescaled: -2i times the matching block of the supercharge
-    in the chiral basis (``chiral_supercharge``).
-    """
-    d, e, f = _chiral_bands(window, params, profile, sign)
-    rows = np.arange(window.size)
-    ahead = np.roll(rows, -1)
-    mat = np.zeros((window.size, window.size), dtype=complex)
-    mat[rows, rows] = d
-    mat[rows, ahead] = e
-    mat[ahead, rows] = f
+        bands[1:, -1] = 0.0
     label = "plus" if sign == 1 else "minus"
-    return TruncatedOperator(f"q_epsilon_{label}", window, mat)
+    return TruncatedOperator(f"q_epsilon_{label}", window, bands)
 
 
 def build_r_epsilon(window: LatticeWindow, params: WalkParameters,
@@ -310,79 +292,60 @@ def build_r_epsilon(window: LatticeWindow, params: WalkParameters,
     return diagonal, hop
 
 
-def chiral_supercharge(window: LatticeWindow, params: WalkParameters,
-                       profile: CoinProfile) -> sp.csr_array:
-    """The supercharge in the chiral basis, eps* Q eps, as a sparse matrix.
-
-    Its lower-left block is Q_plus and its upper-right block Q_minus, the
-    blocks of ``build_q_epsilon`` divided by -2i; its diagonal blocks
-    vanish.  Periodic windows only, like the rotation.
-    """
-    eps = _epsilon(window, params)
-    return eps.conj().T @ _supercharge(window, params, profile) @ eps
-
-
-def _max_abs(mat) -> float:
-    return float(abs(mat).max())
-
-
 @dataclass(frozen=True)
 class AlgebraReport:
     residuals: dict
-    threshold: float
 
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values())
 
-    @property
-    def passed(self) -> bool:
-        return self.max_residual < self.threshold
-
 
 def verify_algebra(window: LatticeWindow, params: WalkParameters,
-                   profile: CoinProfile, threshold: float = 1e-11) -> AlgebraReport:
+                   profile: CoinProfile) -> AlgebraReport:
     """Max-norm residuals of the defining operator identities.
 
     Periodic windows only.  Checks the involution laws, the walk against
     its entries written site by site (``_split_step``), the supercharge
-    definitions, the chiral anticommutation, unitarity of the basis
-    rotation, and that conjugating the supercharge by it produces exactly
-    the two off-diagonal tridiagonal blocks (with vanishing diagonal
-    blocks).  The products are sparse; only the n x n off-diagonal blocks
-    meet the dense blocks of ``build_q_epsilon``.
+    Q = [gamma, C] / 2i against (U - U*) / 2i, the chiral anticommutation,
+    unitarity of the basis rotation eps, and that eps* Q eps consists of
+    exactly the two off-diagonal blocks of ``build_q_epsilon`` divided by
+    -2i (Q_plus lower left, Q_minus upper right), with vanishing diagonal
+    blocks.  Every product is one of band grids.
     """
     if not window.periodic:
         raise ProfileError("operator-algebra checks run on periodic windows")
-    import scipy.sparse as sp  # see _two_entry_rows
-
     n = window.size
-    eye = sp.identity(2 * n, dtype=complex, format="csr")
+    eye = diagonal_grid(n, 1.0, 1.0)
     gamma = _gamma(window, params)
     coin = _coin(window, profile)
     evolution = _evolution(window, params, profile)
-    q = _supercharge(window, params, profile)
+    q = grid_sum((1 / 2j, grid_product(gamma, coin)), (-1 / 2j, grid_product(coin, gamma)))
     eps = _epsilon(window, params)
-    eps_adj = eps.conj().T
+    eps_adj = grid_adjoint(eps)
+    conjugated = grid_product(grid_product(eps_adj, q), eps)
+    blocks = {sign: ((ring_band(build_q_epsilon(window, params, profile, sign).matrix / (-2j)),),)
+              for sign in (+1, -1)}
 
-    conjugated = chiral_supercharge(window, params, profile)
-    q_plus = build_q_epsilon(window, params, profile, +1).matrix / (-2j)
-    q_minus = build_q_epsilon(window, params, profile, -1).matrix / (-2j)
+    def block(i, j):
+        return ((conjugated[i][j],),)
+
+    def gap(a, b):
+        return grid_max_abs(grid_sum((1, a), (-1, b)))
 
     residuals = {
-        "gamma_involution": _max_abs(gamma @ gamma - eye),
-        "coin_involution": _max_abs(coin @ coin - eye),
-        "evolution_definition": _max_abs(evolution - _split_step(window, params, profile)),
-        "supercharge_definition": _max_abs(2j * q - (evolution - evolution.conj().T)),
-        "chiral_anticommutation": _max_abs(q @ gamma + gamma @ q),
-        "epsilon_unitarity": _max_abs(eps_adj @ eps - eye),
-        "epsilon_gamma_diagonal": _max_abs(
-            eps_adj @ gamma @ eps - sp.diags_array(np.repeat([1.0, -1.0], n))
-        ),
-        "offdiagonal_block_plus": _max_abs(conjugated[n:, :n] - q_plus),
-        "offdiagonal_block_minus": _max_abs(conjugated[:n, n:] - q_minus),
-        "diagonal_blocks_vanish": max(
-            _max_abs(conjugated[:n, :n]), _max_abs(conjugated[n:, n:])
-        ),
+        "gamma_involution": gap(grid_product(gamma, gamma), eye),
+        "coin_involution": gap(grid_product(coin, coin), eye),
+        "evolution_definition": gap(evolution, _split_step(window, params, profile)),
+        "supercharge_definition": grid_max_abs(
+            grid_sum((2j, q), (-1, evolution), (1, grid_adjoint(evolution)))),
+        "chiral_anticommutation": grid_max_abs(
+            grid_sum((1, grid_product(q, gamma)), (1, grid_product(gamma, q)))),
+        "epsilon_unitarity": gap(grid_product(eps_adj, eps), eye),
+        "epsilon_gamma_diagonal": gap(grid_product(grid_product(eps_adj, gamma), eps),
+                                      diagonal_grid(n, 1.0, -1.0)),
+        "offdiagonal_block_plus": gap(block(1, 0), blocks[+1]),
+        "offdiagonal_block_minus": gap(block(0, 1), blocks[-1]),
+        "diagonal_blocks_vanish": max(grid_max_abs(block(0, 0)), grid_max_abs(block(1, 1))),
     }
-    return AlgebraReport(residuals, threshold)
+    return AlgebraReport(residuals)

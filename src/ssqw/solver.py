@@ -53,9 +53,14 @@ from .lattice import (
     OPEN,
     LatticeWindow,
     TruncatedOperator,
-    _chiral_bands,
     build_q_epsilon,
     build_r_epsilon,
+    diagonal_grid,
+    grid_adjoint,
+    grid_max_abs,
+    grid_product,
+    grid_sum,
+    ring_band,
 )
 
 SVD_REL_TOL = 1e-8
@@ -270,7 +275,7 @@ def bound_state_residual(state: BoundState, params: WalkParameters,
                          profile: CoinProfile) -> float:
     """Relative recursion residual of the sampled vector on an open window."""
     window = LatticeWindow(state.window.half_width, OPEN)
-    d, e, f = _chiral_bands(window, params, profile, state.sign)
+    d, e, f = build_q_epsilon(window, params, profile, state.sign).matrix
     image = _tridiagonal_product(d, e[:-1], f[:-1], state.amplitudes[:, None])
     return float(np.linalg.norm(image) / np.linalg.norm(state.amplitudes))
 
@@ -317,10 +322,6 @@ class KernelCount:
                 f"kernel count is inconsistent: dimension {self.dimension} + rejected "
                 f"{self.boundary_rejected} != raw count {self.raw_count}"
             )
-
-
-def _tridiagonal_bands(mat: np.ndarray):
-    return np.diag(mat).copy(), np.diag(mat, 1).copy(), np.diag(mat, -1).copy()
 
 
 def _tridiagonal_product(d: np.ndarray, e: np.ndarray, f: np.ndarray,
@@ -418,20 +419,19 @@ def _near_null_vectors(d: np.ndarray, e: np.ndarray, f: np.ndarray,
     return wh[width - raw:] @ basis.T
 
 
-def kernel_count_svd(operator: TruncatedOperator, rel_tol: float = SVD_REL_TOL,
-                     min_gap: float = MIN_GAP_RATIO,
-                     localize: bool = True) -> KernelCount:
-    """Count near-null singular values of a tridiagonal truncated block.
+def kernel_count_svd(operator: TruncatedOperator) -> KernelCount:
+    """Count near-null singular values of an open chiral block from its bands.
 
-    The threshold is ``rel_tol`` times the largest singular value.  A
+    ``operator.matrix`` is the band stack [d, e, f] of ``build_q_epsilon``.
+    The threshold is SVD_REL_TOL times the largest singular value.  A
     count is conclusive only when the candidates are separated from the
-    rest by a factor ``min_gap``.  With ``localize`` (default), candidates
-    whose squared amplitude is not at least 90% inside the middle half of
-    the window are attributed to the artificial ends and rejected; they
-    still participate in the raw count and the gap.  The filter runs on
-    the basis of the candidate space that diagonalizes the bulk mass, so
-    several candidates at rounding level count the same whichever basis
-    of their span the solver returns.
+    rest by a factor MIN_GAP_RATIO.  Candidates whose squared amplitude is
+    not at least LOCALIZED_MASS inside the middle half of the window are
+    attributed to the artificial ends and rejected; they still participate
+    in the raw count and the gap.  The filter runs on the basis of the
+    candidate space that diagonalizes the bulk mass, so several candidates
+    at rounding level count the same whichever basis of their span the
+    solver returns.
 
     A diagonal unitary gauge makes R real (``_real_gauge``), and the
     singular values are the moduli of the eigenvalues of the real
@@ -441,15 +441,15 @@ def kernel_count_svd(operator: TruncatedOperator, rel_tol: float = SVD_REL_TOL,
     vectors are computed only when there are candidates, by banded block
     inverse iteration on the dilation (``_near_null_vectors``), in the
     order of a dense SVD, and mapped back out of the gauge.  Raises
-    ValueError on a matrix with entries off the three diagonals (a
-    periodic ring's corners) or one no diagonal gauge makes real, and
-    RuntimeError if a candidate v misses |R v| <= threshold.
+    ValueError on a ring block (nonzero corners e[-1] or f[-1]) or one no
+    diagonal gauge makes real, and RuntimeError if a candidate v misses
+    |R v| <= threshold.
     """
-    mat = np.asarray(operator.matrix)
-    n = mat.shape[0]
-    d, e, f = _tridiagonal_bands(mat)
-    if np.count_nonzero(mat) != np.count_nonzero(d) + np.count_nonzero(e) + np.count_nonzero(f):
-        raise ValueError(f"kernel census needs a tridiagonal block; {operator.role} is not")
+    d, e, f = operator.matrix
+    n = len(d)
+    if e[-1] != 0 or f[-1] != 0:
+        raise ValueError(f"kernel census needs a tridiagonal block; {operator.role} is a ring")
+    e, f = e[:-1], f[:-1]
     real_d, real_e, real_f, phases = _real_gauge(d, e, f, operator.role)
     bands = _dilation_bands(real_d, real_e, real_f)
     w = scipy.linalg.eig_banded(bands, eigvals_only=True)
@@ -457,7 +457,7 @@ def kernel_count_svd(operator: TruncatedOperator, rel_tol: float = SVD_REL_TOL,
     smax = float(s[0])
     if smax == 0.0:
         return KernelCount(n, n, 0, 0.0, False, np.eye(n, dtype=complex), s[::-1][: min(8, n)])
-    tau = rel_tol * smax
+    tau = SVD_REL_TOL * smax
     raw = int(np.count_nonzero(s < tau))
     if raw == 0:
         gap_ratio = float(s[-1] / tau)
@@ -475,25 +475,21 @@ def kernel_count_svd(operator: TruncatedOperator, rel_tol: float = SVD_REL_TOL,
                 f"kernel census: a candidate has |R v| = {residual:.3e} over the "
                 f"threshold {tau:.3e}"
             )
-    if localize and raw:
-        ncomp = n // operator.window.size
-        site_mask = np.abs(operator.window.sites) <= operator.window.half_width // 2
-        mask = np.tile(site_mask, ncomp)
+        window = operator.window
         # Filter the basis of the candidate space that diagonalizes the bulk
         # mass: a near-null space with several singular values at rounding
         # level has no preferred basis, and a mix of a wall state with an
         # edge state would fail the filter for both.
-        inside = bulk[:, mask]
+        inside = bulk[:, np.abs(window.sites) <= window.half_width // 2]
         mass, mix = np.linalg.eigh(inside.conj() @ inside.T)
         keep = np.flatnonzero(mass >= LOCALIZED_MASS)[::-1]
         bulk = mix[:, keep].T @ bulk
-    conclusive = raw < n and gap_ratio >= min_gap
     return KernelCount(
         dimension=bulk.shape[0],
         raw_count=raw,
         boundary_rejected=raw - bulk.shape[0],
         gap_ratio=gap_ratio,
-        conclusive=conclusive,
+        conclusive=raw < n and gap_ratio >= MIN_GAP_RATIO,
         null_vectors=bulk,
         smallest_singular_values=s[::-1][: min(8, n)].copy(),
     )
@@ -550,36 +546,16 @@ def _unfolded_bands(diagonal: np.ndarray, hop: np.ndarray):
 
 
 def _band_identity_defect(diagonal: np.ndarray, hop: np.ndarray,
-                          chiral: tuple) -> float:
-    """Max-norm of R^2 + Q* Q - 1 from the cyclic bands of R and Q, in O(n).
-
-    A cyclic band matrix is held as {offset mod n: entries}, entry i of
-    offset k sitting at (i, i+k); on rings of three or four sites offsets
-    that meet mod n add up, as in the matrix itself.
-    """
-    n = len(diagonal)
-
-    def product(a: dict, b: dict) -> dict:
-        out = {}
-        for k, x in a.items():
-            for m, y in b.items():
-                key = (k + m) % n
-                out[key] = out.get(key, 0) + x * np.roll(y, -k)
-        return out
-
-    d, e, f = chiral
-    r = {0: diagonal, 1: hop, n - 1: np.roll(hop.conj(), 1)}
-    q = {0: d, 1: e, n - 1: np.roll(f, 1)}
-    q_adj = {(-k) % n: np.roll(v.conj(), k) for k, v in q.items()}
-    defect = product(r, r)
-    for k, v in product(q_adj, q).items():
-        defect[k] = defect[k] + v
-    defect[0] = defect[0] - 1.0
-    return float(max(np.max(np.abs(v)) for v in defect.values()))
+                          chiral: np.ndarray) -> float:
+    """Max-norm of R^2 + Q* Q - 1 from the cyclic bands of R and Q, in O(n)."""
+    r = ((ring_band((diagonal, hop, hop.conj())),),)
+    q = ((ring_band(chiral),),)
+    return grid_max_abs(grid_sum((1, grid_product(r, r)), (1, grid_product(grid_adjoint(q), q)),
+                                 (-1, diagonal_grid(len(diagonal), 1.0))))
 
 
 def _near_unit_parts(count: int, side: int, order: np.ndarray, bands: np.ndarray,
-                     ring: tuple, chiral: tuple) -> np.ndarray:
+                     ring: tuple, chiral: np.ndarray) -> np.ndarray:
     """|Im z| = |Q v| for the ``count`` eigenvalues of R within NEAR_UNIT of
     ``side`` (+1 or -1), farthest from ``side`` first.
 
@@ -619,12 +595,14 @@ def sample_spectrum(window: LatticeWindow, params: WalkParameters,
     The walk is never built.  In the chiral basis U = diag(R_plus,
     R_minus) + i [[0, Q_minus], [Q_plus, 0]], with R_s the Hermitian
     cyclic tridiagonal blocks of the real part (``build_r_epsilon``) and
-    Q_s the raw chiral blocks of the supercharge, -1/2i times the bands
-    of ``build_q_epsilon``.  U is normal, so Q_plus maps an eigenvector v
-    of R_plus with eigenvalue lambda to one of R_minus with the same
-    eigenvalue, and the pair spans the eigenvalues lambda +- i |Q_plus v|:
-    lambda + i |Q_plus v| from R_plus and lambda - i |Q_minus v| from
-    R_minus give the whole spectrum, +-1 included.
+    Q_s the raw chiral blocks of the supercharge, -1/2i times the band
+    stack of ``build_q_epsilon`` (half the stack serves, since only
+    |Q_s v| and Q_s* Q_s enter).  U is normal, so Q_plus maps an
+    eigenvector v of R_plus with eigenvalue lambda to one of R_minus with
+    the same eigenvalue, and the pair spans the eigenvalues
+    lambda +- i |Q_plus v|: lambda + i |Q_plus v| from R_plus and
+    lambda - i |Q_minus v| from R_minus give the whole spectrum, +-1
+    included.
 
     Everything runs on bands.  Reordered as 0, n-1, 1, n-2, ... each
     ring R_s is pentadiagonal (``_unfolded_bands``), and one Hermitian
@@ -646,7 +624,7 @@ def sample_spectrum(window: LatticeWindow, params: WalkParameters,
     parts = []
     for sign in (+1, -1):
         diagonal, hop = build_r_epsilon(window, params, profile, sign)
-        chiral = tuple(band / 2.0 for band in _chiral_bands(window, params, profile, sign))
+        chiral = build_q_epsilon(window, params, profile, sign).matrix / 2.0
         defect = _band_identity_defect(diagonal, hop, chiral)
         if not defect < UNIT_CIRCLE_TOL:
             raise RuntimeError(f"R^2 + Q*Q misses the identity by {defect:.3e}: the walk "
@@ -683,9 +661,9 @@ def h_epsilon_band_eigensystem(window: LatticeWindow, params: WalkParameters,
     squared mass on the middle half of the window, which the phases leave
     unchanged.
     """
-    d, e, f = _chiral_bands(window, params, profile, sign)
-    label = "plus" if sign == 1 else "minus"
-    d, e, f, _ = _real_gauge(d, e[:-1], f[:-1], f"q_epsilon_{label}")
+    block = build_q_epsilon(window, params, profile, sign)
+    d, e, f = block.matrix
+    d, e, f, _ = _real_gauge(d, e[:-1], f[:-1], block.role)
     n = len(d)
     h0 = d ** 2
     h0[1:] += e ** 2

@@ -11,7 +11,6 @@ from ssqw import analytic
 from ssqw.analytic import (
     EigenPair,
     alpha_coefficient,
-    beta_limit,
     eigenvalue_moduli,
     essential_spectrum,
     f_kappa,
@@ -23,6 +22,7 @@ from ssqw.analytic import (
     transfer_eigenvalues,
     witten_index,
 )
+from ssqw.lattice import OPEN, LatticeWindow, build_q_epsilon
 from ssqw.model import (
     CoinProfile,
     CoinType,
@@ -126,9 +126,12 @@ class TestRecursionWeights:
         assert alpha_coefficient(e1_params, 0.6, -1) == pytest.approx(0.3, abs=1e-15)
 
     def test_beta(self, e1_params):
-        assert beta_limit(e1_params, _coin(0.8)) == pytest.approx(
-            -2.0 * math.sqrt(0.75) * 0.8, abs=1e-15
-        )
+        # deep in the left limit the block diagonal is s beta = -2 s |q| a(L)
+        window = LatticeWindow(6, OPEN)
+        profile = CoinProfile(_coin(0.8), _coin(0.0))
+        for sign in (+1, -1):
+            d = build_q_epsilon(window, e1_params, profile, sign).matrix[0]
+            assert d[0] == pytest.approx(-2.0 * sign * math.sqrt(0.75) * 0.8, abs=1e-15)
 
 
 class TestKernelDimensions:

@@ -7,10 +7,14 @@ the check guards, where it must report FAIL rather than raise.
 
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ssqw
 from ssqw import analytic, checks, lattice, solver
 
 SMALL = dataclasses.replace(checks.QUICK, census=120, census_p=(0.3,), trace=100,
@@ -24,9 +28,9 @@ def _census():
 
 def _negated_diagonal(build, *args):
     block = build(*args)
-    matrix = block.matrix.copy()
-    np.fill_diagonal(matrix, -np.diag(matrix))
-    return dataclasses.replace(block, matrix=matrix)
+    bands = block.matrix.copy()
+    bands[0] = -bands[0]
+    return dataclasses.replace(block, matrix=bands)
 
 
 def _shifted_state(construct, *args):
@@ -82,3 +86,23 @@ def test_a_broken_numeric_fails_its_check(case, monkeypatch):
     broken = check()
     assert not broken.passed, broken.line()
     assert broken.name == clean.name == case.removesuffix("-missing")
+
+
+def test_the_algebra_and_the_census_run_without_scipy_sparse():
+    code = (
+        "import sys\n"
+        "from ssqw import checks, lattice, solver\n"
+        "from ssqw.model import CoinProfile, LimitCoin, validate_parameters\n"
+        "assert checks.operator_algebra(7, half_width=8, draws=2).passed\n"
+        "profile = CoinProfile(LimitCoin.symmetric(0.8, 0.6), LimitCoin.symmetric(0.0, 1.0))\n"
+        "window = lattice.LatticeWindow(40, lattice.OPEN)\n"
+        "plus, minus = solver.kernel_counts(validate_parameters(0.5, 0.75 ** 0.5), profile, "
+        "window)\n"
+        "assert (plus.dimension, minus.dimension) == (1, 0)\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ssqw.__file__))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=src))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

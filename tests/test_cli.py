@@ -515,16 +515,17 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert "--window 1000000000" in err and "physical memory" in err
 
+    @pytest.mark.parametrize("argv", [["spectrum"], ["bound-state"], ["verify"],
+                                      ["trace", "--boundary", "open"]],
+                             ids=["spectrum", "bound-state", "verify", "trace"])
     def test_window_guard_reads_the_physical_memory(self, capsys, e1_profile_path,
-                                                    monkeypatch):
-        # spectrum works on bands and is priced per site: 41 of them at --window 20
-        _assert_window_price(capsys, monkeypatch, 41 * cli.SITE_BYTES["spectrum"],
-                             "spectrum", "--profile", e1_profile_path)
-
-    def test_window_guard_prices_a_bound_state_per_site(self, capsys, e1_profile_path,
-                                                        monkeypatch):
-        _assert_window_price(capsys, monkeypatch, 41 * cli.SITE_BYTES["bound-state"],
-                             "bound-state", "--profile", e1_profile_path)
+                                                    monkeypatch, argv):
+        # each command is priced at bytes * n**power for the n = 41 sites of
+        # --window 20; verify's checks are stubbed, since only the guard is tested
+        price, power = cli.WINDOW_BYTES[argv[0]]
+        monkeypatch.setattr(checks, "run", lambda *args: iter([]))
+        _assert_window_price(capsys, monkeypatch, price * 41 ** power, *argv,
+                             "--profile", e1_profile_path)
 
     def test_bound_state_runs_on_a_window_beyond_a_dense_block(self, capsys, e1_profile_path,
                                                                tmp_path):
@@ -535,11 +536,6 @@ class TestInputErrors:
         assert code == 0, err
         with open(out) as fh:
             assert len(json.load(fh)["samples"]) == 24001
-
-    def test_window_guard_prices_a_dense_block(self, capsys, e1_profile_path, monkeypatch):
-        # trace is priced as a dense 41x41 complex matrix at --window 20
-        _assert_window_price(capsys, monkeypatch, 16 * 41 * 41,
-                             "trace", "--boundary", "open", "--profile", e1_profile_path)
 
     @pytest.mark.parametrize("argv", [["index"], ["phase-diagram", "--p-grid", "0.1:0.3:0.1"]],
                              ids=["index", "phase-diagram"])

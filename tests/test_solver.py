@@ -16,6 +16,7 @@ import scipy.optimize
 
 import ssqw
 
+from dense import densify, loop_q_epsilon
 from ssqw import checks
 from ssqw.analytic import eigenvalue_moduli, transfer_eigenvalues
 from ssqw.lattice import (
@@ -182,7 +183,7 @@ class TestBoundStates:
                 state = construct_bound_state(params, profile, sign, window)
                 if state is None:
                     continue
-                block = build_q_epsilon(window, params, profile, sign).matrix
+                block = loop_q_epsilon(window, params, profile, sign)
                 want = np.linalg.norm(block @ state.amplitudes) / np.linalg.norm(state.amplitudes)
                 # both are relative to |psi| = 1, so they differ by rounding only
                 assert abs(bound_state_residual(state, params, profile) - want) <= 1e-15
@@ -262,8 +263,9 @@ class TestKernelCounts:
 
 
 def _dense_census(operator, rel_tol=SVD_REL_TOL, min_gap=MIN_GAP_RATIO):
-    """Reference census by a dense SVD: (fields, singular values, bulk vectors)."""
-    mat = operator.matrix
+    """Reference census by a dense SVD of the densified bands: (fields,
+    singular values, bulk vectors)."""
+    mat = densify(operator.matrix)
     n = mat.shape[0]
     _, s, vh = np.linalg.svd(mat)
     tau = rel_tol * s[0]
@@ -342,23 +344,25 @@ class TestBandedCensusAgreesWithDenseSvd:
         diagonal = np.ones(31, dtype=complex)
         diagonal[15] = 0.0
         sub = 0.5 * np.exp(1j * rng.uniform(-math.pi, math.pi, 30))
-        mat = np.diag(diagonal) + np.diag(sub, -1)
-        count = kernel_count_svd(TruncatedOperator("test", LatticeWindow(15, OPEN), mat))
-        _, _, vh = np.linalg.svd(mat)
+        bands = np.array([diagonal, np.zeros(31), np.append(sub, 0.0)])
+        count = kernel_count_svd(TruncatedOperator("test", LatticeWindow(15, OPEN), bands))
+        _, _, vh = np.linalg.svd(densify(bands))
         assert count.dimension == count.raw_count == 1 and count.conclusive
         assert abs(np.vdot(count.null_vectors[0], vh[-1].conj())) > 1.0 - 1e-9
 
-    def test_several_candidates_come_in_dense_order(self):
-        # three distinct near-null singular values, well under the threshold
+    def test_several_candidates_span_the_dense_null_space(self):
+        # three distinct near-null singular values, well under the threshold,
+        # all in the middle half of the window (sites -5, 0 and 5)
         diagonal = np.ones(31, dtype=complex)
-        diagonal[[5, 10, 20]] = (1e-10, 3e-11, 1e-12)
-        mat = np.diag(diagonal) + np.diag(np.full(30, 1e-13), 1)
-        operator = TruncatedOperator("test", LatticeWindow(15, OPEN), mat)
-        count = kernel_count_svd(operator, localize=False)
-        _, _, vh = np.linalg.svd(mat)
-        assert count.raw_count == 3
-        for got, want in zip(count.null_vectors, vh[-3:].conj()):
-            assert abs(np.vdot(got, want)) > 1.0 - 1e-9
+        diagonal[[10, 15, 20]] = (1e-10, 3e-11, 1e-12)
+        bands = np.array([diagonal, np.append(np.full(30, 1e-13), 0.0), np.zeros(31)])
+        count = kernel_count_svd(TruncatedOperator("test", LatticeWindow(15, OPEN), bands))
+        _, _, vh = np.linalg.svd(densify(bands))
+        assert count.raw_count == count.dimension == 3
+        span = count.null_vectors
+        assert np.allclose(span.conj() @ span.T, np.eye(3), atol=1e-12)
+        for want in vh[-3:].conj():
+            assert np.linalg.norm(span.conj() @ want) > 1.0 - 1e-9
 
 
 class TestResultGuards:
@@ -386,27 +390,29 @@ class TestResultGuards:
 
     def test_census_resolves_a_candidate_next_to_the_threshold(self):
         # the first singular value above the threshold is only 0.2% above it
+        # (the candidate sits at site 0, in the middle half of the window)
         diagonal = np.ones(31, dtype=complex)
-        diagonal[[5, 10]] = (0.999e-8, 1.001e-8)
-        operator = TruncatedOperator("test", LatticeWindow(15, OPEN), np.diag(diagonal))
-        count = kernel_count_svd(operator, localize=False)
-        assert count.raw_count == 1 and not count.conclusive
-        assert abs(count.null_vectors[0, 5]) == pytest.approx(1.0, abs=1e-12)
+        diagonal[[15, 20]] = (0.999e-8, 1.001e-8)
+        bands = np.array([diagonal, np.zeros(31), np.zeros(31)])
+        count = kernel_count_svd(TruncatedOperator("test", LatticeWindow(15, OPEN), bands))
+        assert count.raw_count == count.dimension == 1 and not count.conclusive
+        assert abs(count.null_vectors[0, 15]) == pytest.approx(1.0, abs=1e-12)
 
     def test_census_rejects_a_ring_block(self, e1_params, e1_profile):
         operator = build_q_epsilon(LatticeWindow(20), e1_params, e1_profile, +1)
         with pytest.raises(ValueError, match="tridiagonal"):
             kernel_count_svd(operator)
 
-    @pytest.mark.parametrize("entry, value", [((3, 3), 0.5 + 1e-9j), ((3, 4), 1j)],
+    # band row 0 is the diagonal and row 1 the superdiagonal: (3, 3) and (3, 4)
+    @pytest.mark.parametrize("entry, value", [((0, 3), 0.5 + 1e-9j), ((1, 3), 1j)],
                              ids=["complex-diagonal", "complex-product"])
     def test_census_rejects_a_block_no_real_gauge_fits(self, e1_params, e1_profile,
                                                        entry, value):
         operator = build_q_epsilon(LatticeWindow(10, OPEN), e1_params, e1_profile, +1)
-        mat = operator.matrix.copy()
-        mat[entry] = value
+        bands = operator.matrix.copy()
+        bands[entry] = value
         with pytest.raises(ValueError, match="real gauge.*q_epsilon_plus"):
-            kernel_count_svd(TruncatedOperator(operator.role, operator.window, mat))
+            kernel_count_svd(TruncatedOperator(operator.role, operator.window, bands))
 
     def test_non_unitary_evolution_fails_the_spectrum_guard(self, e1_params, e1_profile,
                                                             monkeypatch):
@@ -422,13 +428,15 @@ class TestResultGuards:
 
     def test_inflated_chiral_band_fails_the_spectrum_guard(self, e1_params, e1_profile,
                                                            monkeypatch):
-        honest = ssqw.lattice._chiral_bands
+        honest = ssqw.lattice.build_q_epsilon
 
         def inflated(*args):
-            d, e, f = honest(*args)
-            return d, 1.001 * e, f
+            block = honest(*args)
+            bands = block.matrix.copy()
+            bands[1] *= 1.001
+            return TruncatedOperator(block.role, block.window, bands)
 
-        monkeypatch.setattr(ssqw.solver, "_chiral_bands", inflated)
+        monkeypatch.setattr(ssqw.solver, "build_q_epsilon", inflated)
         with pytest.raises(RuntimeError, match="unit circle"):
             sample_spectrum(LatticeWindow(10), e1_params, e1_profile)
 
@@ -536,7 +544,7 @@ def _assert_matches_dense_eigh(window, params, profile):
     mask = np.abs(window.sites) <= window.half_width // 2
     for sign in (+1, -1):
         w, weights = h_epsilon_band_eigensystem(window, params, profile, sign)
-        block = build_q_epsilon(window, params, profile, sign).matrix
+        block = loop_q_epsilon(window, params, profile, sign)
         dense_w, dense_v = np.linalg.eigh(block.conj().T @ block)
         assert np.max(np.abs(w - dense_w)) <= 1e-12 * max(dense_w[-1], 1.0)
         dense_weights = np.sum(np.abs(dense_v[mask]) ** 2, axis=0)
@@ -550,7 +558,7 @@ class TestBandEigensystem:
         window = LatticeWindow(30, OPEN)
         for sign in (+1, -1):
             w, weights = h_epsilon_band_eigensystem(window, e1_params, e1_profile, sign)
-            block = build_q_epsilon(window, e1_params, e1_profile, sign).matrix
+            block = loop_q_epsilon(window, e1_params, e1_profile, sign)
             dense = np.linalg.eigvalsh(block.conj().T @ block)
             assert np.max(np.abs(np.sort(w) - dense)) < 1e-12
             assert np.all(weights >= -1e-12) and np.all(weights <= 1.0 + 1e-12)
@@ -576,12 +584,14 @@ class TestBandEigensystem:
 
 
 def _dense_block_bands(window, params, profile, sign):
-    # the reference route: the bands read off the dense block, with zero
-    # open-window corners
-    block = build_q_epsilon(window, params, profile, sign).matrix
+    # the reference route: the bands read off the site-loop dense block, with
+    # zero open-window corners
+    block = loop_q_epsilon(window, params, profile, sign)
     zero = np.zeros(1, dtype=complex)
-    return (np.diag(block).copy(), np.concatenate([np.diag(block, 1), zero]),
-            np.concatenate([np.diag(block, -1), zero]))
+    bands = np.array([np.diag(block), np.concatenate([np.diag(block, 1), zero]),
+                      np.concatenate([np.diag(block, -1), zero])])
+    label = "plus" if sign == 1 else "minus"
+    return TruncatedOperator(f"q_epsilon_{label}", window, bands)
 
 
 class TestBandEigensystemRoute:
@@ -591,7 +601,7 @@ class TestBandEigensystemRoute:
         params, profile = _params(p), CoinProfile(_coin(a_l), _coin(a_r))
         window = LatticeWindow(50, OPEN)
         banded = [h_epsilon_band_eigensystem(window, params, profile, s) for s in (+1, -1)]
-        monkeypatch.setattr(ssqw.solver, "_chiral_bands", _dense_block_bands)
+        monkeypatch.setattr(ssqw.solver, "build_q_epsilon", _dense_block_bands)
         for sign, (w, weights) in zip((+1, -1), banded):
             dense_w, dense_weights = h_epsilon_band_eigensystem(window, params, profile, sign)
             assert np.array_equal(w, dense_w) and np.array_equal(weights, dense_weights)
