@@ -67,10 +67,6 @@ class EigenPair:
     def p_matrix(self) -> np.ndarray:
         return np.array([[self.z1, self.z2], [1.0, 1.0]], dtype=complex)
 
-    @property
-    def det_p(self) -> complex:
-        return self.z1 - self.z2
-
 
 def transfer_eigenvalues(params: WalkParameters, limit: LimitCoin, sign: int) -> EigenPair:
     """Closed-form eigenvalues of the half-line transfer matrix.
@@ -79,7 +75,7 @@ def transfer_eigenvalues(params: WalkParameters, limit: LimitCoin, sign: int) ->
     is the chiral sign.  Requires b != 0 at the limit.
     """
     s = _check_sign(sign)
-    if limit.trivial or limit.is_diagonal:
+    if limit.is_trivial or limit.is_diagonal:
         raise ProfileError("transfer eigenvalues need a limit coin with b != 0")
     a = limit.a
     b = limit.b
@@ -136,9 +132,9 @@ def is_fredholm(params: WalkParameters, profile: CoinProfile) -> tuple[bool, str
     Returns (True, "") or (False, reason).  A trivial limit coin always
     breaks Fredholmness (infinite-dimensional kernel).
     """
-    if profile.left.trivial:
+    if profile.left.is_trivial:
         return False, "trivial limit coin on the left"
-    if profile.right.trivial:
+    if profile.right.is_trivial:
         return False, "trivial limit coin on the right"
     reason = _gap_closing(params.p, profile.left.a, profile.right.a)
     return not reason, reason
@@ -163,15 +159,6 @@ def _boundary_margins(coin_type: CoinType, p: float, a_l: float, a_r: float) -> 
     return [abs(p - a_l), abs(p - a_r), abs(p + a_l), abs(p + a_r)]
 
 
-def near_boundary(params: WalkParameters, profile: CoinProfile,
-                  band: float = NEAR_BOUNDARY_BAND) -> bool:
-    coin_type = classify_coin(profile)
-    if coin_type is CoinType.TRIVIAL_LIMIT:
-        return False
-    margins = _boundary_margins(coin_type, params.p, profile.left.a, profile.right.a)
-    return min(margins) < band
-
-
 def witten_index(params: WalkParameters, profile: CoinProfile,
                  band: float = NEAR_BOUNDARY_BAND) -> IndexReport:
     """Full index report for one parameter point; never raises on valid input.
@@ -183,7 +170,7 @@ def witten_index(params: WalkParameters, profile: CoinProfile,
     step = profile.step_reduction()
     coin_type = classify_coin(step)
     if coin_type is CoinType.TRIVIAL_LIMIT:
-        side = "left" if step.left.trivial else "right"
+        side = "left" if step.left.is_trivial else "right"
         return IndexReport(
             fredholm=False,
             coin_type=coin_type,
@@ -237,15 +224,10 @@ class SpectralInterval:
     hi: float
     degenerate: bool = False
 
-    def contains(self, re_part: float, atol: float = 0.0) -> bool:
-        if self.degenerate:
-            return min(abs(re_part - 1.0), abs(re_part + 1.0)) <= atol
-        return self.lo - atol <= re_part <= self.hi + atol
-
 
 def essential_spectrum(params: WalkParameters, limit: LimitCoin) -> SpectralInterval:
     """Essential-spectrum window [pa - |qb|, pa + |qb|] of a limit walk."""
-    if limit.trivial:
+    if limit.is_trivial:
         return SpectralInterval(-1.0, 1.0, degenerate=True)
     center = params.p * limit.a
     radius = params.abs_q * abs(limit.b)

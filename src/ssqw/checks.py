@@ -111,7 +111,7 @@ def transfer_eigenvalues(seed: int, draws: int = 1000) -> CheckResult:
         side = "L" if i % 4 < 2 else "R"
         for sign in (+1, -1):
             pair = analytic.transfer_eigenvalues(params, limit, sign)
-            z = np.linalg.eigvals(solver.transfer_matrix(params, profile, sign, side).matrix)
+            z = np.linalg.eigvals(solver.transfer_matrix(params, profile, sign, side))
             direct = max(abs(z[0] - pair.z1), abs(z[1] - pair.z2))
             swapped = max(abs(z[0] - pair.z2), abs(z[1] - pair.z1))
             worst_eig = max(worst_eig, min(direct, swapped))
@@ -176,13 +176,13 @@ def kernel_count_grid(census: Census) -> CheckResult:
     )
 
 
-def _window_for_decay(state, floor: float = 1e-12, cap: int = 400) -> Optional[int]:
-    # half-width at which the slower tail has dropped under the floor
+def _window_for_decay(state) -> Optional[int]:
+    # half-width at which the slower tail has dropped under 1e-12; None past 400
     worst = max(state.decay_left, state.decay_right)
     if worst <= 0.0:
         return 50
-    needed = int(math.ceil(math.log(floor) / math.log(worst)))
-    return None if needed > cap else max(100, needed)
+    needed = int(math.ceil(math.log(1e-12) / math.log(worst)))
+    return None if needed > 400 else max(100, needed)
 
 
 def _certificate(params, profile, sign: int, window, count) -> Optional[tuple[float, float]]:

@@ -5,15 +5,16 @@ over p), ``verify`` (the ten numerical cross-checks), ``spectrum``, ``trace`` an
 ``bound-state`` (numerical artifacts).  Exit codes: 0 success, 1 a
 verification check failed, 2 invalid input.  Output goes to stdout or
 ``--out``; CSV uses a header row, '.' decimals and re/im column pairs
-for complex data.  All randomized behavior is fixed by ``--seed``.  A
-``--window`` or a ``--p-grid`` whose measured price (``WINDOW_BYTES``,
-``GRID_ROW_BYTES``) would not fit in physical memory is an input error,
-found before anything is allocated.
+for complex data.  Each subcommand accepts only the flags it reads; any
+other flag is an input error.  A ``--window`` or a ``--p-grid`` whose
+measured price (``WINDOW_BYTES``, ``GRID_ROW_BYTES``) would not fit in
+physical memory is an input error, found before anything is allocated.
 
-``verify`` prints one PASS/FAIL line per check of ``ssqw.checks`` and then
-``verify: OK`` or ``verify: FAILED``, as text: it ignores ``--format`` and
-``--out``.  ``--full`` runs the checks at the sizes of the acceptance
-gate; ``--window`` and ``--draws`` size only the operator-algebra ring.
+``verify`` is the only command that draws random numbers, so ``--seed``
+exists only there.  It prints one PASS/FAIL line per check of
+``ssqw.checks`` and then ``verify: OK`` or ``verify: FAILED``, as text.
+``--full`` runs the checks at the sizes of the acceptance gate;
+``--window`` and ``--draws`` size only the operator-algebra ring.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -42,25 +42,6 @@ from .model import (
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_INPUT_ERROR = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: everything a command needs, seed included."""
-
-    command: str
-    profile_path: Optional[str] = None
-    window: int = 64
-    boundary: str = lattice.PERIODIC
-    seed: int = 7
-    output: str = "json"
-    out_path: Optional[str] = None
-    p_grid: Optional[tuple[Fraction, Fraction, Fraction]] = None
-    t_grid: tuple = solver.DEFAULT_T_GRID
-    sign: int = +1
-    boundary_band: float = analytic.NEAR_BOUNDARY_BAND
-    draws: int = 100
-    full: bool = False
 
 
 # the price of a window of n = 2N+1 sites: (bytes, power) means bytes times
@@ -81,17 +62,15 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _require_window_fits(config: RunConfig) -> None:
-    if config.command not in WINDOW_BYTES:
-        return  # the command reads no window
-    n = 2 * config.window + 1
-    price, power = WINDOW_BYTES[config.command]
+def _require_window_fits(command: str, window: int) -> None:
+    n = 2 * window + 1
+    price, power = WINDOW_BYTES[command]
     needed = price * n ** power
     what = f"{price} bytes for each of {n} sites" if power == 1 else f"{price} bytes times {n}^2"
     available = _physical_memory()
     if needed > available:
         raise ProfileError(
-            f"--window {config.window}: {config.command} needs {what} "
+            f"--window {window}: {command} needs {what} "
             f"({needed / 2**30:.3g} GiB), more than the "
             f"{available / 2**30:.3g} GiB of physical memory"
         )
@@ -102,19 +81,24 @@ def _require_window_fits(config: RunConfig) -> None:
 # sweep (293 and 688 bytes a row), rounded up
 GRID_ROW_BYTES = {"csv": 300, "json": 700}
 
+SIGNS = {"plus": +1, "minus": -1}
 
-def _check_limits(config: RunConfig) -> None:
-    if config.window < 1:
+
+def _check_limits(args: argparse.Namespace) -> None:
+    # each flag is checked only on the commands that have it
+    if "window" in args and args.window < 1:
         raise ProfileError("--window must be >= 1")
-    if config.draws < 1:
-        raise ProfileError(f"--draws must be >= 1, got {config.draws}")
-    band = config.boundary_band
-    if not (math.isfinite(band) and band >= 0):
-        raise ProfileError(f"--boundary-band must be finite and >= 0, got {band!r}")
-    _require_window_fits(config)
-    if config.p_grid is not None:
-        rows = _grid_count(config.p_grid)
-        if GRID_ROW_BYTES[config.output] * rows > _physical_memory():
+    if "draws" in args and args.draws < 1:
+        raise ProfileError(f"--draws must be >= 1, got {args.draws}")
+    if "boundary_band" in args and not (math.isfinite(args.boundary_band)
+                                        and args.boundary_band >= 0):
+        raise ProfileError(
+            f"--boundary-band must be finite and >= 0, got {args.boundary_band!r}")
+    if "window" in args:
+        _require_window_fits(args.command, args.window)
+    if "p_grid" in args:
+        rows = _grid_count(args.p_grid)
+        if GRID_ROW_BYTES[args.fmt] * rows > _physical_memory():
             raise ProfileError(f"--p-grid: {rows} rows would not fit in physical memory")
 
 
@@ -161,11 +145,11 @@ def _parse_t_grid(text: str) -> tuple:
     return values
 
 
-def _load(config: RunConfig) -> tuple[WalkParameters, CoinProfile]:
-    if config.profile_path is None:
+def _load(args: argparse.Namespace) -> tuple[WalkParameters, CoinProfile]:
+    if args.profile is None:
         raise ProfileError("--profile is required for this command")
     try:
-        with open(config.profile_path) as fh:
+        with open(args.profile) as fh:
             document = json.load(fh)
     except OSError as exc:
         raise ProfileError(f"cannot read profile: {exc}")
@@ -174,11 +158,11 @@ def _load(config: RunConfig) -> tuple[WalkParameters, CoinProfile]:
     return load_profile(document)
 
 
-def _emit(text: str, config: RunConfig):
-    if config.out_path is None:
+def _emit(text: str, args: argparse.Namespace):
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out_path, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(text)
 
 
@@ -199,11 +183,11 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def cmd_index(config: RunConfig) -> int:
-    params, profile = _load(config)
-    report = analytic.witten_index(params, profile, band=config.boundary_band)
-    if config.output == "json":
-        _emit(report.to_json() + "\n", config)
+def cmd_index(args: argparse.Namespace) -> int:
+    params, profile = _load(args)
+    report = analytic.witten_index(params, profile, band=args.boundary_band)
+    if args.fmt == "json":
+        _emit(report.to_json() + "\n", args)
     else:
         header = ["fredholm", "coin_type", "d_plus", "d_minus", "index",
                   "near_boundary", "reason"]
@@ -216,23 +200,21 @@ def cmd_index(config: RunConfig) -> int:
             _flag(report.near_boundary),
             report.reason,
         ]
-        _emit(_csv_text(header, [row]), config)
+        _emit(_csv_text(header, [row]), args)
     return EXIT_OK
 
 
-def cmd_phase_diagram(config: RunConfig) -> int:
-    params, profile = _load(config)
-    if config.p_grid is None:
-        raise ProfileError("--p-grid is required for phase-diagram")
-    values = _grid_values(config.p_grid)
+def cmd_phase_diagram(args: argparse.Namespace) -> int:
+    params, profile = _load(args)
+    values = _grid_values(args.p_grid)
     phase = complex(math.cos(params.theta), math.sin(params.theta))
     reports = []
     for p in values:
         # a value that rounds to +-1 leaves q = 0, which validation rejects
         q = math.sqrt(max(0.0, 1.0 - p * p)) * phase
         reports.append(analytic.witten_index(validate_parameters(p, q), profile,
-                                             band=config.boundary_band))
-    if config.output == "json":
+                                             band=args.boundary_band))
+    if args.fmt == "json":
         payload = [
             {
                 "p": p,
@@ -244,7 +226,7 @@ def cmd_phase_diagram(config: RunConfig) -> int:
             }
             for p, r in zip(values, reports)
         ]
-        _emit(canonical_json(payload) + "\n", config)
+        _emit(canonical_json(payload) + "\n", args)
     else:
         header = ["p", "fredholm", "d_plus", "d_minus", "index", "near_boundary"]
         rows = (
@@ -252,32 +234,28 @@ def cmd_phase_diagram(config: RunConfig) -> int:
              _count(r.index), _flag(r.near_boundary)]
             for p, r in zip(values, reports)
         )
-        _emit(_csv_text(header, rows), config)
+        _emit(_csv_text(header, rows), args)
     return EXIT_OK
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    params, profile = _load(config)
-    if config.boundary != lattice.PERIODIC:
-        raise ProfileError("spectrum sampling needs --boundary periodic")
-    window = lattice.LatticeWindow(config.window, lattice.PERIODIC)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    params, profile = _load(args)
+    window = lattice.LatticeWindow(args.window, lattice.PERIODIC)
     eigs = solver.sample_spectrum(window, params, profile)
-    if config.output == "json":
+    if args.fmt == "json":
         payload = {"eigenvalues": [[z.real, z.imag] for z in eigs]}
-        _emit(canonical_json(payload) + "\n", config)
+        _emit(canonical_json(payload) + "\n", args)
     else:
         rows = ([repr(float(z.real)), repr(float(z.imag))] for z in eigs)
-        _emit(_csv_text(["re", "im"], rows), config)
+        _emit(_csv_text(["re", "im"], rows), args)
     return EXIT_OK
 
 
-def cmd_trace(config: RunConfig) -> int:
-    params, profile = _load(config)
-    if config.boundary != lattice.OPEN:
-        raise ProfileError("heat-trace estimates need --boundary open")
-    window = lattice.LatticeWindow(config.window, lattice.OPEN)
-    report = solver.trace_index_report(window, params, profile, config.t_grid)
-    if config.output == "json":
+def cmd_trace(args: argparse.Namespace) -> int:
+    params, profile = _load(args)
+    window = lattice.LatticeWindow(args.window, lattice.OPEN)
+    report = solver.trace_index_report(window, params, profile, args.t_grid)
+    if args.fmt == "json":
         payload = {
             "t_grid": list(report.t_grid),
             "estimates": list(report.estimates),
@@ -285,35 +263,34 @@ def cmd_trace(config: RunConfig) -> int:
             "monotone": report.monotone,
             "basis": "canonical-epsilon",
         }
-        _emit(canonical_json(payload) + "\n", config)
+        _emit(canonical_json(payload) + "\n", args)
     else:
         rows = ([repr(float(t)), repr(float(e))] for t, e in zip(report.t_grid, report.estimates))
-        _emit(_csv_text(["t", "estimate"], rows), config)
+        _emit(_csv_text(["t", "estimate"], rows), args)
     if not report.monotone:
         print("warning: non-monotone tail in trace estimates", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_bound_state(config: RunConfig) -> int:
-    params, profile = _load(config)
-    window = lattice.LatticeWindow(config.window, lattice.OPEN)
-    state = solver.construct_bound_state(params, profile, config.sign, window)
-    sign_label = "plus" if config.sign == +1 else "minus"
+def cmd_bound_state(args: argparse.Namespace) -> int:
+    params, profile = _load(args)
+    window = lattice.LatticeWindow(args.window, lattice.OPEN)
+    state = solver.construct_bound_state(params, profile, SIGNS[args.sign], window)
     if state is None:
         coin_type = str(analytic.classify_coin(profile))
-        if config.output == "json":
-            payload = {"present": False, "sign": sign_label, "coin_type": coin_type}
-            _emit(canonical_json(payload) + "\n", config)
+        if args.fmt == "json":
+            payload = {"present": False, "sign": args.sign, "coin_type": coin_type}
+            _emit(canonical_json(payload) + "\n", args)
         else:
-            _emit(_csv_text(["x", "re", "im"], []), config)
-            print(f"no kernel vector for sign {sign_label}", file=sys.stderr)
+            _emit(_csv_text(["x", "re", "im"], []), args)
+            print(f"no kernel vector for sign {args.sign}", file=sys.stderr)
         return EXIT_OK
     fitted_left, fitted_right = solver.fit_decay_rates(state)
     residual = solver.bound_state_residual(state, params, profile)
-    if config.output == "json":
+    if args.fmt == "json":
         payload = {
             "present": True,
-            "sign": sign_label,
+            "sign": args.sign,
             "coin_type": str(state.coin_type),
             "mode": state.mode,
             "decay_left": state.decay_left,
@@ -326,13 +303,13 @@ def cmd_bound_state(config: RunConfig) -> int:
                 for x, z in zip(state.window.sites, state.amplitudes)
             ],
         }
-        _emit(canonical_json(payload) + "\n", config)
+        _emit(canonical_json(payload) + "\n", args)
     else:
         rows = (
             [str(int(x)), repr(float(z.real)), repr(float(z.imag))]
             for x, z in zip(state.window.sites, state.amplitudes)
         )
-        _emit(_csv_text(["x", "re", "im"], rows), config)
+        _emit(_csv_text(["x", "re", "im"], rows), args)
         print(
             f"fitted decay: left={fitted_left!r} right={fitted_right!r} "
             f"residual={residual:.3e}",
@@ -341,12 +318,12 @@ def cmd_bound_state(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     from . import checks  # imported here: the other commands need not pay for it
 
-    sizes = checks.FULL if config.full else checks.QUICK
+    sizes = checks.FULL if args.full else checks.QUICK
     all_passed = True
-    for result in checks.run(sizes, config.seed, config.window, config.draws):
+    for result in checks.run(sizes, args.seed, args.window, args.draws):
         print(result.line())
         all_passed = all_passed and result.passed
     print("verify: OK" if all_passed else "verify: FAILED")
@@ -364,63 +341,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, window_default, boundary_default):
+    def command(name, help):
+        # abbreviations off: a prefix such as --bound would pass for --boundary-band
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    def profile_in_report_out(p):
         p.add_argument("--profile", help="path to a JSON profile document")
-        p.add_argument("--window", type=int, default=window_default,
-                       help=f"half-width N of the lattice window (default {window_default})")
-        p.add_argument("--boundary", choices=[lattice.PERIODIC, lattice.OPEN],
-                       default=boundary_default)
-        p.add_argument("--seed", type=int, default=7)
         p.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
         p.add_argument("--out", default=None, help="write output to this path")
+
+    def window(p, default):
+        p.add_argument("--window", type=int, default=default,
+                       help=f"half-width N of the lattice window (default {default})")
+
+    def band(p):
         p.add_argument("--boundary-band", type=float, default=analytic.NEAR_BOUNDARY_BAND,
-                       help="near-boundary labelling width (default 1e-9)")
+                       help="near-boundary labelling width (default %(default)g)")
 
-    p_index = sub.add_parser("index", help="closed-form index report for one profile")
-    common(p_index, 64, lattice.PERIODIC)
+    p_index = command("index", "closed-form index report for one profile")
+    profile_in_report_out(p_index)
+    band(p_index)
 
-    p_phase = sub.add_parser("phase-diagram", help="sweep the index over a p grid")
-    common(p_phase, 64, lattice.PERIODIC)
+    p_phase = command("phase-diagram", "sweep the index over a p grid")
+    profile_in_report_out(p_phase)
+    band(p_phase)
     p_phase.add_argument("--p-grid", required=True, help="START:STOP:STEP inside (-1, 1)")
 
-    p_verify = sub.add_parser("verify", help="run the property suite")
-    common(p_verify, 64, lattice.PERIODIC)
+    p_verify = command("verify", "run the property suite")
+    window(p_verify, 64)
+    p_verify.add_argument("--seed", type=int, default=7)
     p_verify.add_argument("--draws", type=int, default=100,
-                          help="random draws for the algebra check (default 100)")
+                          help="random draws for the algebra check (default %(default)s)")
     p_verify.add_argument("--full", action="store_true",
                           help="the acceptance gate's sizes (slow)")
 
-    p_spec = sub.add_parser("spectrum", help="eigenvalues of the truncated walk")
-    common(p_spec, 256, lattice.PERIODIC)
+    p_spec = command("spectrum", "eigenvalues of the truncated walk")
+    profile_in_report_out(p_spec)
+    window(p_spec, 256)
 
-    p_trace = sub.add_parser("trace", help="heat-trace index estimates over a t grid")
-    common(p_trace, 300, lattice.OPEN)
-    p_trace.add_argument("--t-grid", default="5,10,20,50",
-                         help="comma-separated increasing times (default 5,10,20,50)")
+    p_trace = command("trace", "heat-trace index estimates over a t grid")
+    profile_in_report_out(p_trace)
+    window(p_trace, 300)
+    p_trace.add_argument("--t-grid", default=",".join(f"{t:g}" for t in solver.DEFAULT_T_GRID),
+                         help="comma-separated increasing times (default %(default)s)")
 
-    p_bound = sub.add_parser("bound-state", help="explicit kernel vector samples")
-    common(p_bound, 200, lattice.OPEN)
-    p_bound.add_argument("--sign", choices=["plus", "minus"], default="plus")
+    p_bound = command("bound-state", "explicit kernel vector samples")
+    profile_in_report_out(p_bound)
+    window(p_bound, 200)
+    p_bound.add_argument("--sign", choices=list(SIGNS), default="plus")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        profile_path=getattr(args, "profile", None),
-        window=args.window,
-        boundary=args.boundary,
-        seed=args.seed,
-        output=args.fmt,
-        out_path=args.out,
-        p_grid=_parse_p_grid(args.p_grid) if getattr(args, "p_grid", None) else None,
-        t_grid=_parse_t_grid(args.t_grid) if getattr(args, "t_grid", None) else solver.DEFAULT_T_GRID,
-        sign=+1 if getattr(args, "sign", "plus") == "plus" else -1,
-        boundary_band=args.boundary_band,
-        draws=getattr(args, "draws", 100),
-        full=getattr(args, "full", False),
-    )
 
 
 COMMANDS = {
@@ -460,9 +430,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad flags, 0 on --help; keep its codes
         return int(exc.code or 0)
     try:
-        config = _config_from_args(args)
-        _check_limits(config)
-        return COMMANDS[config.command](config)
+        if "p_grid" in args:
+            args.p_grid = _parse_p_grid(args.p_grid)
+        if "t_grid" in args:
+            args.t_grid = _parse_t_grid(args.t_grid)
+        _check_limits(args)
+        return COMMANDS[args.command](args)
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

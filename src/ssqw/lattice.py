@@ -59,10 +59,6 @@ class LatticeWindow:
     def periodic(self) -> bool:
         return self.boundary == PERIODIC
 
-    def wrap(self, x: int) -> int:
-        n = self.size
-        return (x + self.half_width) % n - self.half_width
-
 
 @dataclass(frozen=True)
 class TruncatedOperator:

@@ -60,18 +60,18 @@ class WalkParameters:
         return WalkParameters(-self.p, -self.q)
 
 
-def validate_parameters(p: float, q: complex, atol: float = VALIDATION_ATOL) -> WalkParameters:
+def validate_parameters(p: float, q: complex) -> WalkParameters:
     """Check the shift constraints and return a WalkParameters instance.
 
     Raises ProfileError if q vanishes or p^2 + |q|^2 deviates from 1 by
-    more than ``atol``.
+    more than ``VALIDATION_ATOL``.
     """
     p = float(p)
     q = complex(q)
     if q == 0:
         raise ProfileError("shift parameter q must be nonzero")
     residual = abs(p * p + _squared_modulus(q) - 1.0)
-    if residual > atol:
+    if residual > VALIDATION_ATOL:
         raise ProfileError(
             f"shift parameters violate p^2 + |q|^2 = 1 (residual {residual:.3e})"
         )
@@ -131,12 +131,8 @@ class LimitCoin(CoinEntry):
         return cls(a1=float(a), a2=-float(a), b=complex(b))
 
     @property
-    def trivial(self) -> bool:
-        return self.is_trivial
-
-    @property
     def a(self) -> float:
-        if self.trivial:
+        if self.is_trivial:
             raise ProfileError("limit value a is undefined for a trivial limit coin")
         return self.a1
 
@@ -198,7 +194,7 @@ class CoinProfile:
 
 def classify_coin(profile: CoinProfile) -> CoinType:
     """Coin type from the two limits; total on valid profiles."""
-    if profile.left.trivial or profile.right.trivial:
+    if profile.left.is_trivial or profile.right.is_trivial:
         return CoinType.TRIVIAL_LIMIT
     left_diag = profile.left.is_diagonal
     right_diag = profile.right.is_diagonal

@@ -73,18 +73,10 @@ def _beta(params: WalkParameters, profile: CoinProfile, x: int) -> float:
     return params.abs_q * (profile.entry(x + 1).a2 - profile.entry(x).a1)
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 companion matrix advancing (psi(x), psi(x-1)) -> (psi(x+1), psi(x))."""
-
-    site: Union[int, str]
-    sign: int
-    matrix: np.ndarray
-
-
 def transfer_matrix(params: WalkParameters, profile: CoinProfile, sign: int,
-                    site: Union[int, str]) -> TransferMatrix:
-    """Companion matrix of the three-term kernel recursion.
+                    site: Union[int, str]) -> np.ndarray:
+    """2x2 companion matrix of the three-term kernel recursion, advancing
+    (psi(x), psi(x-1)) to (psi(x+1), psi(x)).
 
     ``site`` is a lattice point, or "L"/"R" for the constant limit
     matrices.  Requires the leading weight alpha_s(x+1) to be nonzero,
@@ -106,8 +98,7 @@ def transfer_matrix(params: WalkParameters, profile: CoinProfile, sign: int,
     if lead == 0:
         raise ProfileError(f"transfer matrix undefined at site {site!r}: b vanishes ahead")
     trail = alpha_coefficient(params, entry_here.b, -sign).conjugate()
-    mat = np.array([[-sign * beta / lead, trail / lead], [1.0, 0.0]], dtype=complex)
-    return TransferMatrix(site, sign, mat)
+    return np.array([[-sign * beta / lead, trail / lead], [1.0, 0.0]], dtype=complex)
 
 
 def sandwich_check(params: WalkParameters, profile: CoinProfile, sign: int) -> float:
@@ -121,7 +112,7 @@ def sandwich_check(params: WalkParameters, profile: CoinProfile, sign: int) -> f
         raise ProfileError("the wall-diagonalization identity needs b != 0 at both ends")
     pair_left = transfer_eigenvalues(params, profile.left, sign)
     pair_right = transfer_eigenvalues(params, profile.right, sign)
-    wall = transfer_matrix(params, profile.step_reduction(), sign, 0).matrix
+    wall = transfer_matrix(params, profile.step_reduction(), sign, 0)
     product = np.linalg.solve(pair_right.p_matrix, wall @ pair_left.p_matrix)
     return float(np.max(np.abs(product - np.diag([pair_left.z1, pair_left.z2]))))
 
@@ -773,14 +764,13 @@ GRID_A_VALUES = (-0.95, -0.6, 0.0, 0.6, 0.95)
 GRID_EXCLUSION = 0.05
 
 
-def classification_grid(p_values=GRID_P_VALUES, a_values=GRID_A_VALUES,
-                        exclusion: float = GRID_EXCLUSION):
+def classification_grid(p_values=GRID_P_VALUES, a_values=GRID_A_VALUES):
     """Step-profile points covering all four coin types.
 
     Sides with an off-diagonal coin take their limit value from
     ``a_values`` (with b = sqrt(1-a^2) > 0); diagonal sides take a = +-1.
-    Points within ``exclusion`` of a spectral-gap closing, i.e. with
-    ||p| - |a|| < exclusion on either side, are dropped.  Yields
+    Points within ``GRID_EXCLUSION`` of a spectral-gap closing, i.e. with
+    ||p| - |a|| < GRID_EXCLUSION on either side, are dropped.  Yields
     (params, profile) pairs, Fredholm by construction.
     """
     diag_values = (-1.0, 1.0)
@@ -795,10 +785,10 @@ def classification_grid(p_values=GRID_P_VALUES, a_values=GRID_A_VALUES,
         ]
         for left_values, right_values in side_choices:
             for a_l in left_values:
-                if abs(abs(p) - abs(a_l)) < exclusion:
+                if abs(abs(p) - abs(a_l)) < GRID_EXCLUSION:
                     continue
                 for a_r in right_values:
-                    if abs(abs(p) - abs(a_r)) < exclusion:
+                    if abs(abs(p) - abs(a_r)) < GRID_EXCLUSION:
                         continue
                     left = _grid_limit(a_l)
                     right = _grid_limit(a_r)
@@ -848,13 +838,15 @@ def random_coin_entry(rng: np.random.Generator, diagonal_chance: float = 0.2) ->
     return CoinEntry(a, -a, math.sqrt(1.0 - a * a) * complex(math.cos(phi), math.sin(phi)))
 
 
+PERTURBED_SITES = 10
+
+
 def perturbation_invariance_test(params: WalkParameters, profile: CoinProfile,
                                  trials: int = 20, seed: int = 0,
-                                 window: Optional[LatticeWindow] = None,
-                                 max_sites: int = 10) -> PerturbationReport:
+                                 window: Optional[LatticeWindow] = None) -> PerturbationReport:
     """Randomized compact-perturbation trials of index stability.
 
-    Each trial overrides the coin at up to ``max_sites`` bulk sites with
+    Each trial overrides the coin at up to ``PERTURBED_SITES`` bulk sites with
     fresh valid entries (occasionally diagonal ones, so b is pushed to 0
     somewhere) and recounts both chiral kernels by the census.  All conclusive
     trials must reproduce the unperturbed index.
@@ -870,7 +862,7 @@ def perturbation_invariance_test(params: WalkParameters, profile: CoinProfile,
     reach = max(1, window.half_width // 4)
     outcomes = []
     for _ in range(trials):
-        n_sites = int(rng.integers(1, max_sites + 1))
+        n_sites = int(rng.integers(1, PERTURBED_SITES + 1))
         sites = rng.choice(np.arange(-reach, reach + 1), size=n_sites, replace=False)
         overrides = dict(profile.overrides)
         for x in sites:

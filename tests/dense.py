@@ -28,7 +28,9 @@ def loop_q_epsilon(window, params, profile, sign):
     n = window.size
 
     def entry(x):
-        return profile.entry(window.wrap(x) if window.periodic else x)
+        if window.periodic:
+            x = (x + window.half_width) % n - window.half_width
+        return profile.entry(x)
 
     mat = np.zeros((n, n), dtype=complex)
     for i, x in enumerate(window.sites):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -260,11 +261,6 @@ class TestSpectrumCommand:
         assert len(res) == 2 * (2 * 48 + 1)
         assert all(-0.8661 <= re <= 0.8661 for re in res)
 
-    def test_open_boundary_is_an_input_error(self, capsys, e1_profile_path):
-        code, _, err = run_cli(capsys, "spectrum", "--profile", e1_profile_path,
-                               "--boundary", "open")
-        assert code == 2 and "periodic" in err
-
 
 class TestTraceCommand:
     def test_e1_table(self, capsys, e1_profile_path):
@@ -291,11 +287,6 @@ class TestTraceCommand:
         code, _, err = run_cli(capsys, "trace", "--profile", e1_profile_path,
                                "--t-grid", "10,5")
         assert code == 2 and "increasing" in err
-
-    def test_periodic_boundary_is_an_input_error(self, capsys, e1_profile_path):
-        code, _, err = run_cli(capsys, "trace", "--profile", e1_profile_path,
-                               "--boundary", "periodic")
-        assert code == 2 and "open" in err
 
 
 class TestBoundStateCommand:
@@ -347,9 +338,9 @@ class TestVerifyPlumbing:
         passing = checks.CheckResult("stub-pass", True, "ok")
         failing = checks.CheckResult("stub-fail", False, "broken")
         monkeypatch.setattr(checks, "run", lambda *args: iter([passing]))
-        assert cli.cmd_verify(cli.RunConfig(command="verify")) == 0
+        assert cli.main(["verify"]) == 0
         monkeypatch.setattr(checks, "run", lambda *args: iter([passing, failing]))
-        assert cli.cmd_verify(cli.RunConfig(command="verify")) == 1
+        assert cli.main(["verify"]) == 1
         out = capsys.readouterr().out
         assert "PASS stub-pass" in out and "FAIL stub-fail" in out
 
@@ -363,6 +354,56 @@ class TestVerifyPlumbing:
     def test_the_beta_sign_hook_is_gone(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--inject-beta-sign")
         assert code == 2 and out == ""
+
+
+# the flags each command reads, in the order of its --help
+FLAGS = {
+    "index": ["--profile", "--format", "--out", "--boundary-band"],
+    "phase-diagram": ["--profile", "--format", "--out", "--boundary-band", "--p-grid"],
+    "verify": ["--window", "--seed", "--draws", "--full"],
+    "spectrum": ["--profile", "--format", "--out", "--window"],
+    "trace": ["--profile", "--format", "--out", "--window", "--t-grid"],
+    "bound-state": ["--profile", "--format", "--out", "--window", "--sign"],
+}
+WINDOWED = [command for command, flags in FLAGS.items() if "--window" in flags]
+
+# every command once accepted these seven flags, whether it read them or not
+FORMER_COMMON_FLAGS = ("--profile", "--window", "--boundary", "--seed", "--format", "--out",
+                       "--boundary-band")
+REMOVED_FLAGS = [(command, flag) for command, flags in FLAGS.items()
+                 for flag in FORMER_COMMON_FLAGS if flag not in flags]
+
+
+def _argv(command, profile_path):
+    """``command`` with the flags it requires, and no others."""
+    argv = [command]
+    if "--profile" in FLAGS[command]:
+        argv += ["--profile", profile_path]
+    if command == "phase-diagram":
+        argv += ["--p-grid", "0.1:0.3:0.1"]
+    return argv
+
+
+class TestFlagSets:
+    @pytest.mark.parametrize("command", FLAGS)
+    def test_help_lists_exactly_the_flags_the_command_reads(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert re.findall(r"^  (?:-h, )?(--[a-z-]+)", out, re.M) == ["--help", *FLAGS[command]]
+
+    @pytest.mark.parametrize("command, flag", REMOVED_FLAGS,
+                             ids=[f"{command} {flag}" for command, flag in REMOVED_FLAGS])
+    def test_a_flag_the_command_does_not_read_is_an_input_error(
+            self, capsys, tmp_path, monkeypatch, e1_profile_path, command, flag):
+        # each value is one the flag's own commands accept
+        value = {"--profile": e1_profile_path, "--window": "8", "--boundary": "periodic",
+                 "--seed": "7", "--format": "csv", "--out": str(tmp_path / "out.txt"),
+                 "--boundary-band": "1e-3"}[flag]
+        monkeypatch.setattr(checks, "run", lambda *args: iter([]))
+        code, out, err = run_cli(capsys, *_argv(command, e1_profile_path), flag, value)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} {value}" in err
+        assert not (tmp_path / "out.txt").exists()
 
 
 # every number a profile document can hold, each in a document where it is read
@@ -503,29 +544,27 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "verify", "--draws", draws)
         assert code == 2 and out == "" and "--draws" in err
 
-    def test_bad_window(self, capsys, e1_profile_path):
-        code, _, err = run_cli(capsys, "index", "--profile", e1_profile_path,
-                               "--window", "0")
-        assert code == 2 and "--window" in err
+    @pytest.mark.parametrize("command", WINDOWED)
+    def test_bad_window(self, capsys, e1_profile_path, command):
+        code, out, err = run_cli(capsys, *_argv(command, e1_profile_path), "--window", "0")
+        assert code == 2 and out == "" and "--window must be >= 1" in err
 
-    @pytest.mark.parametrize("command", ["spectrum", "trace", "bound-state", "verify"])
+    @pytest.mark.parametrize("command", WINDOWED)
     def test_window_beyond_memory_is_an_input_error(self, capsys, e1_profile_path, command):
-        code, out, err = run_cli(capsys, command, "--profile", e1_profile_path,
+        code, out, err = run_cli(capsys, *_argv(command, e1_profile_path),
                                  "--window", "1000000000")
         assert code == 2 and out == ""
         assert "--window 1000000000" in err and "physical memory" in err
 
-    @pytest.mark.parametrize("argv", [["spectrum"], ["bound-state"], ["verify"],
-                                      ["trace", "--boundary", "open"]],
-                             ids=["spectrum", "bound-state", "verify", "trace"])
+    @pytest.mark.parametrize("command", WINDOWED)
     def test_window_guard_reads_the_physical_memory(self, capsys, e1_profile_path,
-                                                    monkeypatch, argv):
+                                                    monkeypatch, command):
         # each command is priced at bytes * n**power for the n = 41 sites of
         # --window 20; verify's checks are stubbed, since only the guard is tested
-        price, power = cli.WINDOW_BYTES[argv[0]]
+        price, power = cli.WINDOW_BYTES[command]
         monkeypatch.setattr(checks, "run", lambda *args: iter([]))
-        _assert_window_price(capsys, monkeypatch, price * 41 ** power, *argv,
-                             "--profile", e1_profile_path)
+        _assert_window_price(capsys, monkeypatch, price * 41 ** power,
+                             *_argv(command, e1_profile_path))
 
     def test_bound_state_runs_on_a_window_beyond_a_dense_block(self, capsys, e1_profile_path,
                                                                tmp_path):
@@ -536,13 +575,6 @@ class TestInputErrors:
         assert code == 0, err
         with open(out) as fh:
             assert len(json.load(fh)["samples"]) == 24001
-
-    @pytest.mark.parametrize("argv", [["index"], ["phase-diagram", "--p-grid", "0.1:0.3:0.1"]],
-                             ids=["index", "phase-diagram"])
-    def test_commands_without_a_window_ignore_it(self, capsys, e1_profile_path, argv):
-        code, _, _ = run_cli(capsys, *argv, "--profile", e1_profile_path,
-                             "--window", "1000000000")
-        assert code == 0
 
     def test_unknown_flag_uses_argparse_code(self, capsys, e1_profile_path):
         code = cli.main(["index", "--profile", e1_profile_path, "--bogus"])

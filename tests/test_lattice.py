@@ -55,12 +55,6 @@ class TestLatticeWindow:
         assert list(window.sites) == [-3, -2, -1, 0, 1, 2, 3]
         assert not window.periodic
 
-    def test_wrap(self):
-        window = LatticeWindow(3)
-        assert window.wrap(4) == -3
-        assert window.wrap(-4) == 3
-        assert window.wrap(2) == 2
-
     def test_validation(self):
         with pytest.raises(ValueError, match="half_width"):
             LatticeWindow(0)

@@ -94,7 +94,7 @@ class TestLimitCoin:
 
     @given(limit_coins())
     def test_nontrivial_limits_expose_a(self, coin):
-        if not coin.trivial:
+        if not coin.is_trivial:
             assert coin.a == coin.a1 == -coin.a2
 
 

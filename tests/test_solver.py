@@ -73,7 +73,7 @@ TYPE_I_PROFILE = CoinProfile(LimitCoin(1.0, -1.0, 0j), LimitCoin(-1.0, 1.0, 0j))
 
 class TestTransferMatrix:
     def test_e1_wall_matrix(self, e1_params, e1_profile):
-        wall = transfer_matrix(e1_params, e1_profile, +1, 0).matrix
+        wall = transfer_matrix(e1_params, e1_profile, +1, 0)
         # row x=0: alpha_+(1) = 1.5, alpha_-(0)* = 0.3, beta(0) = -0.8 sqrt(0.75)
         beta0 = math.sqrt(0.75) * (0.0 - 0.8)
         assert wall[0, 0] == pytest.approx(-beta0 / 1.5, abs=1e-15)
@@ -88,7 +88,7 @@ class TestTransferMatrix:
             profile = CoinProfile(limit, limit)
             for sign in (+1, -1):
                 pair = transfer_eigenvalues(params, limit, sign)
-                mat = transfer_matrix(params, profile, sign, "L").matrix
+                mat = transfer_matrix(params, profile, sign, "L")
                 computed = sorted(np.linalg.eigvals(mat), key=lambda z: (z.real, z.imag))
                 stated = sorted([pair.z1, pair.z2], key=lambda z: (z.real, z.imag))
                 assert max(abs(c - s) for c, s in zip(computed, stated)) < 1e-12
@@ -97,8 +97,8 @@ class TestTransferMatrix:
                 assert np.max(np.abs(residual)) < 1e-12
 
     def test_left_and_right_limits_differ(self, e1_params, e1_profile):
-        left = transfer_matrix(e1_params, e1_profile, +1, "L").matrix
-        right = transfer_matrix(e1_params, e1_profile, +1, "R").matrix
+        left = transfer_matrix(e1_params, e1_profile, +1, "L")
+        right = transfer_matrix(e1_params, e1_profile, +1, "R")
         assert not np.allclose(left, right)
 
     def test_rejects_vanishing_lead(self, e1_params):
